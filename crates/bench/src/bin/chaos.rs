@@ -244,16 +244,10 @@ fn report_and_check(args: &Args, result: &ChaosReport) -> Result<(), Box<dyn std
     );
 
     if let Some(report_path) = &args.report {
-        // Wall-clock fields are excluded from RunReport equality; zero
-        // them here too so two equal runs produce byte-identical JSON
-        // (the CI crash-resume smoke diffs these files).
+        // Two equal runs must produce byte-identical JSON: the CI
+        // crash-resume smoke diffs these files.
         let mut report = result.report.clone();
-        report.engine.replay_wall_secs = 0.0;
-        report.engine.accesses_per_sec = 0.0;
-        for span in &mut report.spans {
-            span.total_secs = 0.0;
-            span.max_secs = 0.0;
-        }
+        report.zero_wall_clock();
         ensure_parent(report_path)?;
         std::fs::write(report_path, serde_json::to_string_pretty(&report)?)?;
         println!("  report -> {report_path} (wall-clock fields zeroed)");

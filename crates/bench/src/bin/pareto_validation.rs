@@ -21,7 +21,7 @@
 //! Poisson synthetics. As arrivals get burstier the exponential's KS
 //! distance degrades several-fold while the β=min Pareto closes in —
 //! the regime the paper's model is built for. The window sweep in
-//! `--bin ablation` shows the joint method's *energy* is robust to this
+//! `figures ablation` shows the joint method's *energy* is robust to this
 //! distributional misfit either way. Pass `--quick` for a shorter run.
 
 use jpmd_bench::{write_json, ExperimentConfig, Table};

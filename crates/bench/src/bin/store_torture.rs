@@ -1,26 +1,19 @@
-//! `store_torture` — the storage-fault chaos harness for the whole
-//! durability stack.
+//! `store_torture` — the storage-fault chaos harness for the telemetry
+//! WAL and the checkpoint seal.
 //!
-//! Drives three seeded phases through [`jpmd_faults::FaultyStorage`] and
+//! Drives two seeded phases through [`jpmd_faults::FaultyStorage`] and
 //! verifies the recovery invariants the fault seam promises:
 //!
-//! 1. **Journaled store** — commits `--commits` deterministic
-//!    transactions (the `trace_tool db-torture` page conventions, so
-//!    `trace_tool db-verify <db> <commits>` cross-checks the survivor)
-//!    under a storm of ENOSPC/EIO/short-write/fsync faults, reopening
-//!    after every failure. Invariant: every recovery lands on an
-//!    **exact commit prefix** — the counter page names commit `m` with
-//!    `acked <= m <= attempted` and every data page matches `m`.
-//! 2. **Telemetry WAL** — emits through a total outage window, rides
+//! 1. **Telemetry WAL** — emits through a total outage window, rides
 //!    the in-memory ring, drains on recovery, then resumes the file and
 //!    keeps emitting. Invariant: the final WAL is seq-gap-free with
 //!    zero gap markers (the window is sized under the ring capacity).
-//! 3. **Checkpoint seal** — a seal whose fsync/rename crash must fail
+//! 2. **Checkpoint seal** — a seal whose fsync/rename crash must fail
 //!    *typed*, leave no destination and no stale `.tmp`; the bounded
 //!    retry budget then rides out a transient window and the sealed
 //!    `.jck` verifies by load.
 //!
-//! Usage: `store_torture --dir DIR [--commits N] [--seed S] [--io-faults]`
+//! Usage: `store_torture --dir DIR [--seed S] [--io-faults]`
 //!
 //! Without `--io-faults` every phase runs over disabled plans — the
 //! baseline sanity pass CI runs next to the faulted one. Exit code 0
@@ -32,162 +25,12 @@ use std::process::ExitCode;
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
 use jpmd_core::methods::{self, run_method_checkpointed};
 use jpmd_core::SimScale;
-use jpmd_faults::{FaultyStorage, IoFaultMonitor, IoFaultPlan, SharedBackend};
+use jpmd_faults::{FaultyStorage, IoFaultPlan, SharedBackend};
 use jpmd_obs::{JsonlSink, ObsEvent, ObsRecord, Sink, Telemetry, WalPolicy};
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
-use jpmd_store::{journal_path, PagedFile};
 use jpmd_trace::{WorkloadBuilder, MIB};
 
-/// Page geometry mirrors `trace_tool db-torture` exactly, so its
-/// `db-verify` subcommand can cross-check phase 1's survivor.
-const DB_PAGE: u32 = 256;
-const DB_DATA_PAGES: u64 = 16;
-
-fn db_fill(c: u64) -> u8 {
-    (c % 249 + 1) as u8
-}
-
-fn db_image(b: u8) -> Vec<u8> {
-    vec![b; DB_PAGE as usize]
-}
-
-/// The exact page state `m` durable commits must leave behind
-/// (`db-verify`'s expectation, inlined).
-fn verify_prefix(db: &mut PagedFile, m: u64) -> Result<(), String> {
-    if m == 0 {
-        return Ok(());
-    }
-    let counter = db
-        .read_page(0)
-        .map_err(|e| format!("counter page unreadable at prefix {m}: {e}"))?;
-    if counter != db_image(db_fill(m)) {
-        return Err(format!(
-            "counter page holds {:#04x}, expected {:#04x} for commit {m}",
-            counter[0],
-            db_fill(m)
-        ));
-    }
-    for p in 1..=m.min(DB_DATA_PAGES) {
-        let last = p + DB_DATA_PAGES * ((m - p) / DB_DATA_PAGES);
-        let got = db
-            .read_page(p)
-            .map_err(|e| format!("page {p} unreadable at prefix {m}: {e}"))?;
-        if got != db_image(db_fill(last)) {
-            return Err(format!(
-                "page {p} holds {:#04x}, expected {:#04x} (commit {last})",
-                got[0],
-                db_fill(last)
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Reads the adopted commit count back out of a recovered store. The
-/// caller knows recovery must land on `m` or `m + 1`; the fill byte
-/// distinguishes the two exactly.
-fn recovered_count(db: &mut PagedFile, acked: u64, attempted: u64) -> Result<u64, String> {
-    let byte = match db.read_page(0) {
-        Ok(img) => img[0],
-        Err(_) => return Ok(0), // no commit ever became durable
-    };
-    for candidate in [attempted, acked] {
-        if candidate > 0 && byte == db_fill(candidate) {
-            return Ok(candidate);
-        }
-    }
-    Err(format!(
-        "counter byte {byte:#04x} matches neither acked commit {acked} \
-         ({:#04x}) nor attempted commit {attempted} ({:#04x})",
-        db_fill(acked),
-        db_fill(attempted)
-    ))
-}
-
-fn reopen(backend: &SharedBackend, path: &Path) -> Result<PagedFile, String> {
-    for _ in 0..100 {
-        if let Ok(db) = PagedFile::open_on(backend.clone(), path, 8) {
-            return Ok(db);
-        }
-    }
-    PagedFile::open(path, 8).map_err(|e| format!("store unopenable even faultless: {e}"))
-}
-
-/// Phase 1: the journaled store either completes or recovers to an
-/// exact commit prefix, `--commits` times over.
-fn torture_store(
-    dir: &Path,
-    commits: u64,
-    plan: IoFaultPlan,
-) -> Result<(PathBuf, u64, IoFaultMonitor), String> {
-    let path = dir.join("torture.jdb");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(journal_path(&path));
-    let storage = FaultyStorage::new(plan);
-    let monitor = storage.monitor();
-    let backend = SharedBackend::from(storage);
-
-    let mut db = None;
-    for _ in 0..100 {
-        if let Ok(created) = PagedFile::create_on(backend.clone(), &path, DB_PAGE, 8) {
-            db = Some(created);
-            break;
-        }
-    }
-    let mut db = db.ok_or("store creation never landed inside the retry budget")?;
-
-    let mut m = 0u64;
-    let mut attempts = 0u64;
-    let mut recoveries = 0u64;
-    while m < commits {
-        attempts += 1;
-        if attempts > 100 * commits {
-            return Err(format!(
-                "workload stuck: {m}/{commits} after {attempts} attempts"
-            ));
-        }
-        let next = m + 1;
-        let fill = db_image(db_fill(next));
-        let staged = db
-            .write_page(0, &fill)
-            .and_then(|()| db.write_page((next - 1) % DB_DATA_PAGES + 1, &fill))
-            .and_then(|()| db.commit())
-            .and_then(|seq| {
-                if next.is_multiple_of(5) {
-                    db.checkpoint().map(|()| seq)
-                } else {
-                    Ok(seq)
-                }
-            });
-        match staged {
-            Ok(_) => m = next,
-            Err(_) => {
-                // A typed failure is a crash: reopen, and the survivor
-                // must be an exact prefix in [m, next].
-                recoveries += 1;
-                drop(db);
-                db = reopen(&backend, &path)?;
-                let recovered = recovered_count(&mut db, m, next)?;
-                verify_prefix(&mut db, recovered)?;
-                m = recovered;
-            }
-        }
-    }
-    drop(db);
-
-    // Final faultless verify — exactly what `trace_tool db-verify` does.
-    let mut clean =
-        PagedFile::open(&path, 8).map_err(|e| format!("final faultless open failed: {e}"))?;
-    verify_prefix(&mut clean, commits)?;
-    println!(
-        "store: {commits} commits durable over {attempts} attempts, \
-         {recoveries} recoveries, {} faults injected",
-        monitor.injected().total()
-    );
-    Ok((path, recoveries, monitor))
-}
-
-/// Phase 2: the WAL degrades to its ring through an outage, drains on
+/// Phase 1: the WAL degrades to its ring through an outage, drains on
 /// recovery, resumes, and ends seq-gap-free with zero gap markers.
 fn torture_wal(dir: &Path, seed: u64, faulted: bool) -> Result<(), String> {
     let path = dir.join("torture.jsonl");
@@ -324,7 +167,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Phase 3: failed seals are typed and clean; the retry budget rides
+/// Phase 2: failed seals are typed and clean; the retry budget rides
 /// out a transient window and the sealed file verifies.
 fn torture_ckpt(dir: &Path, seed: u64, faulted: bool) -> Result<(), String> {
     let ckpt = capture_checkpoint()?;
@@ -393,7 +236,6 @@ fn torture_ckpt(dir: &Path, seed: u64, faulted: bool) -> Result<(), String> {
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut dir = PathBuf::from("runs/store-torture");
-    let mut commits = 60u64;
     let mut seed = 1u64;
     let mut faulted = false;
     let mut i = 0;
@@ -407,11 +249,6 @@ fn run(args: &[String]) -> Result<(), String> {
         };
         match flag {
             "--dir" => dir = value(&mut i)?.into(),
-            "--commits" => {
-                commits = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "bad --commits".to_string())?
-            }
             "--seed" => {
                 seed = value(&mut i)?
                     .parse()
@@ -421,7 +258,7 @@ fn run(args: &[String]) -> Result<(), String> {
             other => {
                 return Err(format!(
                     "unknown flag '{other}'\nusage: store_torture --dir DIR \
-                     [--commits N] [--seed S] [--io-faults]"
+                     [--seed S] [--io-faults]"
                 ))
             }
         }
@@ -429,25 +266,11 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir:?}: {e}"))?;
 
-    let plan = if faulted {
-        IoFaultPlan::storm(seed)
-    } else {
-        IoFaultPlan::disabled()
-    };
-    let (db_path, recoveries, monitor) = torture_store(&dir, commits, plan)?;
-    if faulted && monitor.injected().total() == 0 {
-        return Err("storm plan injected nothing into the store phase".into());
-    }
-    if faulted && recoveries == 0 {
-        return Err("store phase never exercised a recovery".into());
-    }
     torture_wal(&dir, seed, faulted)?;
     torture_ckpt(&dir, seed, faulted)?;
     println!(
-        "PASS store_torture (seed {seed}, io-faults {}): cross-check with \
-         `trace_tool db-verify {} {commits}`",
-        u8::from(faulted),
-        db_path.display()
+        "PASS store_torture (seed {seed}, io-faults {})",
+        u8::from(faulted)
     );
     Ok(())
 }

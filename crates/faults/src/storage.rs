@@ -96,9 +96,9 @@ impl IoFaultPlan {
         Self::default()
     }
 
-    /// The standard storage-chaos mix used by `store_torture --io-faults`:
-    /// every fault class enabled at rates high enough to exercise the
-    /// recovery paths many times per run, with an open-ended window.
+    /// A storage-chaos mix: every fault class enabled at rates high
+    /// enough to exercise the recovery paths many times per run, with an
+    /// open-ended window.
     pub fn storm(seed: u64) -> Self {
         IoFaultPlan {
             seed,
@@ -543,6 +543,36 @@ mod tests {
         }
         assert_eq!(outcomes[0], outcomes[1]);
         assert!(outcomes[0].iter().any(|&e| e), "storm plan actually fires");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopening_a_path_continues_its_fault_stream() {
+        // A consumer that retries after a failure re-opens the path; were
+        // the stream restarted, it would replay the very draw that failed.
+        let dir = std::env::temp_dir().join(format!("jpmd_iofault_reopen_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.bin");
+        let pattern = |file: &mut Box<dyn StorageFile>, writes: usize| -> Vec<bool> {
+            (0..writes)
+                .map(|_| file.write(b"abcdef").is_err())
+                .collect()
+        };
+
+        let storage = FaultyStorage::new(IoFaultPlan::storm(5));
+        let one_handle = pattern(&mut storage.create(&path).unwrap(), 200);
+
+        let storage = FaultyStorage::new(IoFaultPlan::storm(5));
+        let mut reopened = pattern(&mut storage.create(&path).unwrap(), 100);
+        reopened.extend(pattern(&mut storage.open_append(&path).unwrap(), 100));
+
+        assert_eq!(one_handle, reopened);
+        assert!(one_handle.iter().any(|&e| e), "storm plan actually fires");
+        assert_ne!(
+            one_handle[..100],
+            one_handle[100..],
+            "a restarted stream would repeat the first 100 outcomes"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,7 @@ use jpmd_faults::{
     chaos_trace, run_chaos, run_chaos_checkpointed, ChaosConfig, ChaosOutcome, ChaosReport,
 };
 use jpmd_obs::Telemetry;
-use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint};
+use jpmd_sim::{CheckpointOptions, CheckpointPolicy, RunReport, SimCheckpoint};
 
 fn interrupted_checkpoint(chaos: &ChaosConfig, stop_after: usize) -> SimCheckpoint {
     let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
@@ -31,6 +31,16 @@ fn interrupted_checkpoint(chaos: &ChaosConfig, stop_after: usize) -> SimCheckpoi
     assert_eq!(outcome, ChaosOutcome::Interrupted);
     assert_eq!(captured.len(), stop_after);
     captured.pop().expect("at least one checkpoint")
+}
+
+/// The golden digest of a report: the CRC-32 of its JSON with the
+/// wall-clock fields zeroed (see the workspace `golden_digests` test).
+/// Computed on x86_64 Linux, whose libm the f64 results depend on.
+fn report_digest(report: &RunReport) -> u32 {
+    let mut report = report.clone();
+    report.zero_wall_clock();
+    let json = serde_json::to_string(&report).expect("report serializes");
+    jpmd_store::crc32(json.as_bytes())
 }
 
 fn resume(chaos: &ChaosConfig, ckpt: &SimCheckpoint) -> ChaosReport {
@@ -58,6 +68,11 @@ fn resumed_chaos_run_matches_uninterrupted() {
     assert!(baseline.guard.fallbacks >= 1);
     assert!(baseline.source_faults.total() > 0);
     assert!(baseline.hw_faults.total() > 0);
+    assert_eq!(
+        report_digest(&baseline.report),
+        0xd087_ad14,
+        "chaos baseline report changed (golden digest)"
+    );
 
     // Interrupt mid-run — past the injected fault burst, so the
     // checkpoint carries non-trivial guard and RNG state.

@@ -105,12 +105,7 @@ impl FleetReport {
     /// smoke diffs these files, mirroring the single-run chaos bin.
     pub fn zero_wall_clock(&mut self) {
         for report in &mut self.shards {
-            report.engine.replay_wall_secs = 0.0;
-            report.engine.accesses_per_sec = 0.0;
-            for span in &mut report.spans {
-                span.total_secs = 0.0;
-                span.max_secs = 0.0;
-            }
+            report.zero_wall_clock();
         }
     }
 }

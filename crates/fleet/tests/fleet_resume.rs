@@ -12,7 +12,8 @@ use std::path::Path;
 
 use jpmd_core::SimScale;
 use jpmd_fleet::{
-    run_fleet_checkpointed, skewed_fleet_trace, FleetConfig, FleetMode, FleetOutcome, SkewSpec,
+    run_fleet_checkpointed, skewed_fleet_trace, FleetConfig, FleetMode, FleetOutcome, FleetReport,
+    SkewSpec,
 };
 use jpmd_obs::ObsRecord;
 
@@ -53,7 +54,17 @@ fn normalized(path: &Path) -> Vec<String> {
         .collect()
 }
 
-fn exercise_mode(mode: FleetMode) {
+/// The golden digest of a fleet report: the CRC-32 of its JSON with the
+/// wall-clock fields zeroed (see the workspace `golden_digests` test).
+/// Computed on x86_64 Linux, whose libm the f64 results depend on.
+fn report_digest(report: &FleetReport) -> u32 {
+    let mut report = report.clone();
+    report.zero_wall_clock();
+    let json = serde_json::to_string(&report).expect("report serializes");
+    jpmd_store::crc32(json.as_bytes())
+}
+
+fn exercise_mode(mode: FleetMode, digest: u32) {
     let (cfg, spec) = config();
     let (trace, router) = skewed_fleet_trace(&cfg.scale, &spec).expect("fleet trace");
     let root = std::env::temp_dir().join(format!(
@@ -70,6 +81,12 @@ fn exercise_mode(mode: FleetMode) {
         .into_report()
         .expect("baseline completes");
     assert!(baseline.total_accesses() > 0);
+    assert_eq!(
+        report_digest(&baseline),
+        digest,
+        "{} fleet baseline report changed (golden digest)",
+        mode.label()
+    );
 
     let interrupted = run_fleet_checkpointed(&cfg, mode, &trace, &router, &crash_dir, Some(2))
         .expect("interrupted fleet run");
@@ -100,10 +117,10 @@ fn exercise_mode(mode: FleetMode) {
 
 #[test]
 fn coordinated_fleet_resumes_bit_identical() {
-    exercise_mode(FleetMode::Coordinated);
+    exercise_mode(FleetMode::Coordinated, 0x4c83_bb90);
 }
 
 #[test]
 fn greedy_fleet_resumes_bit_identical() {
-    exercise_mode(FleetMode::PerShardGreedy);
+    exercise_mode(FleetMode::PerShardGreedy, 0xa156_6112);
 }

@@ -9,7 +9,6 @@
 //! obs-tool seek <file> <period>
 //! obs-tool range <file> <from> <to>
 //! obs-tool index <file> [stride]
-//! obs-tool compact <base> <out>
 //! ```
 //!
 //! `summary` counts records by event type and sketches the run (periods
@@ -28,9 +27,8 @@
 //! The indexed queries ride the `<file>.jx` sparse period index
 //! ([`jpmd_obs::wal`]): `seek` jumps to the first record at-or-past a
 //! period, `range` prints every period-carrying record in an inclusive
-//! period window, `index` (re)builds the sidecar for an existing WAL,
-//! and `compact` folds a segmented WAL chain into one gap-free stream.
-//! All of them verify the index before trusting it and fall back to a
+//! period window, and `index` (re)builds the sidecar for an existing
+//! WAL. All of them verify the index before trusting it and fall back to a
 //! full scan, so answers are identical with or without a sidecar.
 //!
 //! Exit codes: `0` success, `1` runtime failure (missing file, malformed
@@ -53,12 +51,10 @@ const USAGE: &str = "usage:
   obs-tool seek <file> <period>
   obs-tool range <file> <from> <to>
   obs-tool index <file> [stride]
-  obs-tool compact <base> <out>
 
 <file> is a JSONL telemetry stream written by a JsonlSink; seek/range
 use the <file>.jx sparse period index when present (build one with
-'index'), compact folds <base> + <base>.segN resume segments into <out>,
-follow tails a live WAL (0 for --max-secs/--max-lines = unbounded)";
+'index'), follow tails a live WAL (0 for --max-secs/--max-lines = unbounded)";
 
 /// Parses every line of `path`, yielding `(line_no, raw_line, record)`.
 /// A malformed line is a runtime error naming the offending line number.
@@ -394,15 +390,6 @@ fn index(path: &str, stride: u32) -> Result<(), CliError> {
     Ok(())
 }
 
-fn compact(base: &str, out: &str) -> Result<(), CliError> {
-    let report = wal::compact(base, out)?;
-    println!(
-        "compacted {} segment(s): {} line(s) in, {} out ({} shadowed, {} corrupt) -> {out}",
-        report.segments, report.lines_in, report.lines_out, report.shadowed, report.dropped
-    );
-    Ok(())
-}
-
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = require(args, 1, "subcommand")?;
     match cmd {
@@ -444,11 +431,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let path = require(args, 2, "file")?;
             let stride: u32 = parse_arg(args, 3, "stride", 64)?;
             index(path, stride)
-        }
-        "compact" => {
-            let base = require(args, 2, "base")?;
-            let out = require(args, 3, "out")?;
-            compact(base, out)
         }
         unknown => Err(CliError::Usage(format!("unknown subcommand '{unknown}'"))),
     }

@@ -3,13 +3,13 @@
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jpmd_store::{
-    index_path, next_segment_path, IndexEntry, PeriodIndex, PeriodIndexWriter, SharedBackend,
-    StorageFile, INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
+    index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, SharedBackend, StorageFile,
+    INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
 };
 use serde::{Deserialize, Serialize};
 
@@ -382,26 +382,6 @@ impl JsonlSink {
         stride: u32,
     ) -> std::io::Result<Self> {
         Self::resume_inner(backend, path.as_ref(), from_seq, policy, Some(stride))
-    }
-
-    /// Opens a **new segment** for a resumed run instead of rewriting
-    /// `base` in place: the existing chain is left untouched and a fresh
-    /// indexed sink is created at the next `<base>.segN` path (see
-    /// [`jpmd_store::segment`]). Returns the sink and the segment path
-    /// it writes to; [`crate::wal::compact`] folds the chain back into
-    /// one gap-free stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates segment-creation failures.
-    pub fn resume_segmented(
-        base: impl AsRef<Path>,
-        policy: WalPolicy,
-        stride: u32,
-    ) -> std::io::Result<(Self, PathBuf)> {
-        let segment = next_segment_path(base.as_ref());
-        let sink = Self::create_indexed(&segment, policy, stride)?;
-        Ok((sink, segment))
     }
 
     fn resume_inner(
@@ -960,36 +940,5 @@ mod tests {
         }
         std::fs::remove_file(index_path(&path)).ok();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn segmented_resume_leaves_the_base_untouched() {
-        let dir = std::env::temp_dir().join(format!("jpmd_obs_segres_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("wal.jsonl");
-        {
-            let sink = JsonlSink::create_indexed(&base, WalPolicy::default(), 4).unwrap();
-            for seq in 0..6u64 {
-                sink.emit(&period_record(seq, seq));
-            }
-        }
-        let before = std::fs::read(&base).unwrap();
-        let (sink, segment) = JsonlSink::resume_segmented(&base, WalPolicy::default(), 4).unwrap();
-        for seq in 4..9u64 {
-            sink.emit(&period_record(seq, seq));
-        }
-        drop(sink);
-        assert_eq!(std::fs::read(&base).unwrap(), before, "base untouched");
-        assert_eq!(segment, jpmd_store::segment_path(&base, 1));
-        let out = dir.join("compact.jsonl");
-        let report = crate::wal::compact(&base, &out).unwrap();
-        assert_eq!(report.lines_out, 9, "gap-free 0..9 after compaction");
-        let seqs: Vec<u64> = std::fs::read_to_string(&out)
-            .unwrap()
-            .lines()
-            .map(|l| ObsRecord::from_line(l).unwrap().seq)
-            .collect();
-        assert_eq!(seqs, (0..9).collect::<Vec<u64>>());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

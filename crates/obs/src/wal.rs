@@ -16,9 +16,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use jpmd_store::{
-    index_path, CompactionReport, IndexEntry, PeriodIndex, PeriodIndexWriter, StoreError,
-};
+use jpmd_store::{index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, StoreError};
 
 use crate::ObsRecord;
 
@@ -343,21 +341,6 @@ pub fn build_index(path: impl AsRef<Path>, stride: u32) -> Result<u64, StoreErro
     Ok(writer.entries())
 }
 
-/// Compacts the segment chain of `base` (see [`jpmd_store::segment`])
-/// into one gap-free record stream at `out`, keyed by record `seq`.
-///
-/// # Errors
-///
-/// Typed [`StoreError`]s from the underlying compaction.
-pub fn compact(
-    base: impl AsRef<Path>,
-    out: impl AsRef<Path>,
-) -> Result<CompactionReport, StoreError> {
-    jpmd_store::compact_segments(base.as_ref(), out.as_ref(), |line| {
-        ObsRecord::from_line(line).ok().map(|r| r.seq)
-    })
-}
-
 /// A verified scan-start offset for `period`, from the sidecar: the
 /// entry at-or-before `period`, only if the line at its offset still
 /// parses and carries its seq. `None` (no sidecar, corrupt sidecar, or
@@ -631,33 +614,5 @@ mod tests {
         assert_eq!(replay.len(), 4);
         std::fs::remove_file(index_path(&path)).ok();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compact_chains_by_seq() {
-        let dir = std::env::temp_dir().join(format!("jpmd-obs-compact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("wal.jsonl");
-        let mut f = std::fs::File::create(&base).unwrap();
-        for seq in 0..6 {
-            writeln!(f, "{}", message_record(seq).to_line()).unwrap();
-        }
-        drop(f);
-        let seg1 = jpmd_store::segment_path(&base, 1);
-        let mut f = std::fs::File::create(&seg1).unwrap();
-        for seq in 4..8 {
-            writeln!(f, "{}", message_record(seq).to_line()).unwrap();
-        }
-        drop(f);
-        let out = dir.join("compact.jsonl");
-        let report = compact(&base, &out).unwrap();
-        assert_eq!(report.lines_out, 8);
-        let seqs: Vec<u64> = std::fs::read_to_string(&out)
-            .unwrap()
-            .lines()
-            .map(|l| ObsRecord::from_line(l).unwrap().seq)
-            .collect();
-        assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

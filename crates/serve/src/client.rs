@@ -131,7 +131,8 @@ pub struct ClientStats {
     pub sent: u64,
     /// Successful re-`ATTACH`es after the first connection.
     pub reconnects: u64,
-    /// Un-acked records rewritten during `ATTACH` replays.
+    /// Un-acked records rewritten during re-`ATTACH` replays. Records
+    /// buffered before the first `ATTACH` are first sends, not replays.
     pub replayed: u64,
     /// Reconnect bursts that exhausted [`ClientOpts::max_attempts`].
     pub gave_up: u64,
@@ -452,7 +453,9 @@ impl ServeClient {
             }
             conn.flush()
         })();
-        self.stats.replayed += replayed;
+        if self.ever_connected {
+            self.stats.replayed += replayed;
+        }
         replay.map_err(|e| format!("replay: {e}"))?;
         if self.ever_connected {
             self.stats.reconnects += 1;

@@ -208,7 +208,7 @@ pub struct DaemonStats {
     pub degraded_tenants: u64,
     /// Connections accepted over the daemon's lifetime.
     pub conns_accepted: u64,
-    /// Accepted connections dropped at the [`MAX_CONNECTIONS`] cap.
+    /// Accepted connections dropped at the 256-connection cap.
     pub conns_dropped: u64,
     /// Connections dropped because a partially-read line stalled past
     /// the mid-line idle limit (or an HTTP head never finished).

@@ -3,7 +3,8 @@
 //! `ATTACH` replay itself. A crash mid-replay must just replay again —
 //! the ack watermark makes the retry idempotent — and the stream must
 //! converge to exactly-once delivery with a monotone watermark and a
-//! gap-free telemetry WAL.
+//! gap-free telemetry WAL. The replay counter counts only those
+//! re-sends, never a record's first send.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -199,4 +200,33 @@ fn crash_during_attach_replay_converges_exactly_once() {
         let record = ObsRecord::from_line(line).expect("parse WAL line");
         assert_eq!(record.seq, i as u64, "WAL seq gap at line {i}");
     }
+}
+
+#[test]
+fn first_attach_sends_are_not_counted_as_replays() {
+    let dir = scratch_dir("first-attach");
+    let daemon = Daemon::start(ServeConfig::new(&dir)).expect("start daemon");
+    let addr = daemon.addr();
+
+    // The default 8 KiB feed buffer holds the first records back until
+    // it fills; the first ATTACH then sends them all from the ring.
+    let mut client = ServeClient::tcp(addr.to_string(), "steady", 4096, ClientOpts::default());
+    let records = workload(3);
+    let total = records.len() as u64;
+    for record in records {
+        client.feed(record).expect("feed");
+    }
+    client.sync().expect("sync");
+
+    let stats = client.stats();
+    assert_eq!(stats.sent, total);
+    assert_eq!(
+        (stats.reconnects, stats.replayed),
+        (0, 0),
+        "a churn-free client never replays: {stats:?}"
+    );
+    assert_eq!(client.acked(), total);
+
+    assert!(control(addr, "SHUTDOWN").starts_with("OK"));
+    daemon.join().expect("clean shutdown");
 }

@@ -145,6 +145,19 @@ impl RunReport {
             0.0
         }
     }
+
+    /// Zeroes every wall-clock field — the engine's replay time and
+    /// throughput and each span's total and max — the fields equality
+    /// already ignores. Two equal runs then serialize to byte-identical
+    /// JSON, which is what report diffs and golden digests compare.
+    pub fn zero_wall_clock(&mut self) {
+        self.engine.replay_wall_secs = 0.0;
+        self.engine.accesses_per_sec = 0.0;
+        for span in &mut self.spans {
+            span.total_secs = 0.0;
+            span.max_secs = 0.0;
+        }
+    }
 }
 
 #[cfg(test)]

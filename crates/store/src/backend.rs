@@ -12,7 +12,7 @@
 //! The point of the seam is *fault injection*: `jpmd-faults` wraps an
 //! inner backend in a `FaultyStorage` that deterministically injects
 //! ENOSPC, EIO, short writes, failed fsyncs, and crashed renames into
-//! the write-class operations, so the journal, WAL sinks, and
+//! the write-class operations, so the WAL sinks, period index, and
 //! checkpoint seal protocol can be tortured without root, loop devices,
 //! or real disk failures. Read-class operations are never faulted —
 //! recovery code must be able to *see* what survived.

@@ -10,8 +10,6 @@
 //! trace-tool scan <trace.jpt>
 //! trace-tool scale-rate <in> <out> <factor>
 //! trace-tool scale-data <in> <out> <growth>
-//! trace-tool db-torture <db> [commits] [die_after] [cut_bytes]
-//! trace-tool db-verify <db> <expect_commits>
 //! ```
 //!
 //! Trace paths ending in `.jpt` use the paged binary store
@@ -22,20 +20,9 @@
 //! the simulator (see the `determinism` and `store_stream` integration
 //! tests).
 //!
-//! `db-torture`/`db-verify` exercise the journaled [`PagedFile`] crash
-//! protocol end to end: torture performs deterministic committed
-//! transactions and (optionally) leaves a journal whose last commit
-//! record is torn mid-write — exactly what `kill -9` between the
-//! journal write and its fsync leaves behind — and verify reopens the
-//! store, which replays the journal, and checks every page against the
-//! deterministic expectation. The CI crash-recovery smoke is built on
-//! this pair.
-//!
 //! Exit codes: `0` success, `1` runtime failure (I/O, corrupt store,
 //! malformed trace), `2` usage error (unknown subcommand, missing or
 //! unparsable argument) — the shared `jpmd_store::cli` convention.
-//!
-//! [`PagedFile`]: jpmd_store::PagedFile
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -43,7 +30,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use jpmd_store::cli::{self, parse_arg, parse_required, require, CliError};
-use jpmd_store::{PagedFile, TraceReader};
+use jpmd_store::TraceReader;
 use jpmd_trace::{synth, Trace, TraceStats, WorkloadBuilder, GIB, MIB};
 
 const USAGE: &str = "usage:
@@ -55,14 +42,9 @@ const USAGE: &str = "usage:
   trace-tool scan <trace.jpt>
   trace-tool scale-rate <in> <out> <factor>
   trace-tool scale-data <in> <out> <growth>
-  trace-tool db-torture <db> [commits] [die_after] [cut_bytes]
-  trace-tool db-verify <db> <expect_commits>
 
 traces ending in .jpt use the paged binary store; all others are JSON
-(scan reads a .jpt in recovery mode, reporting every page's health;
-db-torture commits deterministic pages into a journaled page store and,
-when die_after < commits, tears the journal mid-commit; db-verify
-reopens it — replaying the journal — and checks every committed page)";
+(scan reads a .jpt in recovery mode, reporting every page's health)";
 
 /// `.jpt` selects the binary store; everything else is JSON.
 fn is_binary(path: &str) -> bool {
@@ -222,121 +204,6 @@ fn cat(path: &str, limit: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Page geometry of the torture database.
-const DB_PAGE: u32 = 256;
-/// Data pages the torture run cycles through (page 0 is the counter).
-const DB_DATA_PAGES: u64 = 16;
-
-/// The deterministic fill byte commit `c` stamps into every page it
-/// writes (nonzero, so a fresh page never passes by accident).
-fn db_fill(c: u64) -> u8 {
-    (c % 249 + 1) as u8
-}
-
-fn db_image(b: u8) -> Vec<u8> {
-    vec![b; DB_PAGE as usize]
-}
-
-/// Commit `c` writes the counter page (0) and one cycling data page,
-/// both filled with [`db_fill`]`(c)`.
-fn db_commit(db: &mut PagedFile, c: u64) -> Result<(), CliError> {
-    db.write_page(0, &db_image(db_fill(c)))?;
-    let data = (c - 1) % DB_DATA_PAGES + 1;
-    db.write_page(data, &db_image(db_fill(c)))?;
-    db.commit()?;
-    Ok(())
-}
-
-/// Runs `commits` deterministic transactions against a fresh journaled
-/// page store (checkpointing every 5th). When `die_after < commits`,
-/// performs one more commit past `die_after` and then cuts `cut` bytes
-/// off the journal tail — the on-disk state of a process killed between
-/// the journal write and its fsync — so the extra commit must be
-/// discarded as torn on the next open. `cut` must stay smaller than one
-/// commit record (2 page frames + marker) or it would bite into durable
-/// commits; the default 5 lands inside the commit marker.
-fn db_torture(path: &str, commits: u64, die_after: u64, cut: u64) -> Result<(), CliError> {
-    let mut db = PagedFile::create(path, DB_PAGE, 8)?;
-    let durable = die_after.min(commits);
-    for c in 1..=durable {
-        db_commit(&mut db, c)?;
-        if c % 5 == 0 {
-            db.checkpoint()?;
-        }
-    }
-    if die_after < commits {
-        let torn = die_after + 1;
-        db_commit(&mut db, torn)?;
-        drop(db);
-        let jpath = jpmd_store::journal_path(Path::new(path));
-        let len = std::fs::metadata(&jpath)?.len();
-        let keep = len.saturating_sub(cut.max(1));
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&jpath)?
-            .set_len(keep)?;
-        println!(
-            "tortured {path}: {durable} commits durable, commit {torn} torn \
-             (journal cut to {keep} of {len} bytes)"
-        );
-    } else {
-        db.checkpoint()?;
-        println!("tortured {path}: {durable} commits durable, checkpointed clean");
-    }
-    Ok(())
-}
-
-/// Reopens the torture database (recovering via journal replay) and
-/// checks every page against the deterministic expectation for
-/// `expect` durable commits.
-fn db_verify(path: &str, expect: u64) -> Result<(), CliError> {
-    let mut db = PagedFile::open(path, 8)?;
-    let stats = db.stats();
-    if expect == 0 {
-        println!(
-            "ok: empty db (replayed {} commits)",
-            stats.recovered_commits
-        );
-        return Ok(());
-    }
-    let expect_pages = expect.min(DB_DATA_PAGES) + 1;
-    if db.page_count() != expect_pages {
-        return Err(cli::runtime(format!(
-            "page count {} != expected {expect_pages}",
-            db.page_count()
-        )));
-    }
-    let counter = db.read_page(0)?;
-    if counter != db_image(db_fill(expect)) {
-        return Err(cli::runtime(format!(
-            "counter page holds {:#04x}, expected {:#04x} for commit {expect}",
-            counter[0],
-            db_fill(expect)
-        )));
-    }
-    for p in 1..=expect.min(DB_DATA_PAGES) {
-        let last = p + DB_DATA_PAGES * ((expect - p) / DB_DATA_PAGES);
-        let got = db.read_page(p)?;
-        if got != db_image(db_fill(last)) {
-            return Err(cli::runtime(format!(
-                "page {p} holds {:#04x}, expected {:#04x} (commit {last})",
-                got[0],
-                db_fill(last)
-            )));
-        }
-    }
-    println!(
-        "ok: {expect} commits verified (replayed {} journal commits{})",
-        stats.recovered_commits,
-        if stats.recovered_torn_tail {
-            ", torn tail discarded"
-        } else {
-            ""
-        }
-    );
-    Ok(())
-}
-
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = require(args, 1, "subcommand")?;
     match cmd {
@@ -398,18 +265,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let fileset = jpmd_trace::FileSet::from_page_counts(counts, trace.page_bytes())?;
             let (scaled, _) = synth::scale_data_set(&trace, &fileset, growth)?;
             save(&scaled, out)?;
-        }
-        "db-torture" => {
-            let db = require(args, 2, "db")?;
-            let commits: u64 = parse_arg(args, 3, "commits", 20)?;
-            let die_after: u64 = parse_arg(args, 4, "die_after", u64::MAX)?;
-            let cut: u64 = parse_arg(args, 5, "cut_bytes", 5)?;
-            db_torture(db, commits, die_after, cut)?;
-        }
-        "db-verify" => {
-            let db = require(args, 2, "db")?;
-            let expect: u64 = parse_required(args, 3, "expect_commits")?;
-            db_verify(db, expect)?;
         }
         unknown => {
             return Err(CliError::Usage(format!("unknown subcommand '{unknown}'")));

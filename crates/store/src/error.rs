@@ -76,29 +76,6 @@ pub enum StoreError {
         /// What the parameter must satisfy.
         reason: &'static str,
     },
-    /// A journal sidecar belongs to a different store (its stamped
-    /// `file_id` does not match the main file's).
-    ForeignJournal {
-        /// Identity stamped in the journal header.
-        found: u64,
-        /// Identity of the main file it was opened against.
-        expected: u64,
-    },
-    /// A journal sidecar was written with a different page size than the
-    /// store it sits next to.
-    JournalGeometry {
-        /// Page size stamped in the journal header.
-        found: u32,
-        /// Page size of the main file.
-        expected: u32,
-    },
-    /// A page access addressed a page the store does not have.
-    PageOutOfRange {
-        /// Page that was asked for.
-        page: u64,
-        /// Pages the store currently holds.
-        pages: u64,
-    },
 }
 
 impl StoreError {
@@ -160,17 +137,6 @@ impl fmt::Display for StoreError {
             StoreError::InvalidRecord(e) => write!(f, "{e}"),
             StoreError::InvalidConfig { reason } => {
                 write!(f, "invalid trace store configuration: {reason}")
-            }
-            StoreError::ForeignJournal { found, expected } => write!(
-                f,
-                "journal belongs to a different store (file id {found:#018x}, expected {expected:#018x})"
-            ),
-            StoreError::JournalGeometry { found, expected } => write!(
-                f,
-                "journal page size {found} does not match the store's {expected}"
-            ),
-            StoreError::PageOutOfRange { page, pages } => {
-                write!(f, "page {page} is out of range (store holds {pages} pages)")
             }
         }
     }
@@ -237,28 +203,6 @@ mod tests {
         assert!(!StoreError::Io(io::Error::other("x")).is_page_corruption());
         assert!(!StoreError::Truncated { page: 2 }.is_page_corruption());
         assert!(!StoreError::BadMagic { found: [0; 8] }.is_page_corruption());
-        assert!(!StoreError::ForeignJournal {
-            found: 1,
-            expected: 2
-        }
-        .is_page_corruption());
-        assert!(!StoreError::PageOutOfRange { page: 9, pages: 1 }.is_page_corruption());
-    }
-
-    #[test]
-    fn journal_errors_display_their_diagnostics() {
-        let e = StoreError::ForeignJournal {
-            found: 0xAB,
-            expected: 0xCD,
-        };
-        assert!(e.to_string().contains("0x00000000000000ab"), "{e}");
-        let e = StoreError::JournalGeometry {
-            found: 128,
-            expected: 4096,
-        };
-        assert!(e.to_string().contains("128") && e.to_string().contains("4096"));
-        let e = StoreError::PageOutOfRange { page: 7, pages: 3 };
-        assert!(e.to_string().contains("page 7") && e.to_string().contains("3 pages"));
     }
 
     #[test]

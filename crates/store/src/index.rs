@@ -20,8 +20,7 @@
 //! authority: readers verify the target line (parse it, check `seq`) and
 //! fall back to a full scan on any mismatch, so a stale or torn sidecar
 //! can cost time but never correctness. Loading tolerates a torn tail —
-//! a short or CRC-failing final entry is discarded, mirroring the
-//! journal's torn-tail rule.
+//! a short or CRC-failing final entry is discarded.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -20,24 +20,20 @@
 //!   producing **bit-identical** `RunReport`s to in-memory replay (the
 //!   workspace `store_stream` integration tests assert this).
 //!
-//! On top of the append-only trace format, the crate is the workspace's
-//! **run database** (ROADMAP item 5):
+//! Alongside the trace format the crate holds what the telemetry WAL and
+//! the checkpoint files build on:
 //!
-//! * [`PagedFile`] — a random-access page store with a page-level
-//!   write-ahead [`Journal`] (commit = journal fsync, checkpoint =
-//!   write-back + truncate, recovery = replay on open) and a safe LRU
-//!   [`PageCache`];
 //! * [`mod@index`] — sparse per-period `<wal>.jx` sidecars that make
 //!   `seek_to_period` on JSONL telemetry WALs O(index) instead of
 //!   O(file);
-//! * [`mod@segment`] — segmented WALs with gap-free compaction of
-//!   resumed segments;
+//! * [`mod@backend`] — the [`StorageBackend`] seam every durable write
+//!   goes through, so storage faults can be injected under the WAL, the
+//!   index and the checkpoints;
 //! * [`mod@cli`] — the shared exit-code/argument plumbing every tool
 //!   binary in the workspace uses.
 //!
 //! The `trace-tool` binary (this crate) converts between `.json` and
-//! `.jpt`, prints and verifies stores, generates workloads, and
-//! exercises the journal crash protocol (`db-torture`/`db-verify`).
+//! `.jpt`, prints, verifies and scans stores, and generates workloads.
 //!
 //! # Example
 //!
@@ -76,11 +72,7 @@ mod durability;
 mod error;
 pub mod format;
 pub mod index;
-pub mod journal;
-mod pagecache;
-mod pagedfile;
 mod reader;
-pub mod segment;
 mod writer;
 
 pub use backend::{RealFs, SharedBackend, StorageBackend, StorageFile};
@@ -91,11 +83,5 @@ pub use format::Header;
 pub use index::{
     index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
 };
-pub use journal::{journal_path, Journal, JournalReplay};
-pub use pagecache::PageCache;
-pub use pagedfile::{PagedFile, PagedFileStats};
 pub use reader::{read_trace, SkippedPage, SkippedPages, TraceReader};
-pub use segment::{
-    compact_segments, next_segment_path, segment_path, segment_paths, CompactionReport,
-};
 pub use writer::{write_trace, TraceWriter};
