@@ -306,16 +306,11 @@ fn bench_engine_telemetry_overhead(c: &mut Criterion) {
     group.bench_function("replay_disabled", |b| {
         b.iter(|| {
             black_box(
-                methods::run_method_source_with(
-                    &spec,
-                    &scale,
-                    trace.source(),
-                    0.0,
-                    700.0,
-                    300.0,
-                    &Telemetry::disabled(),
-                )
-                .expect("in-memory source"),
+                methods::simulation(&spec, &scale, 0.0, 300.0, &Telemetry::disabled())
+                    .and_then(|sim| sim.run(trace.source(), 700.0))
+                    .expect("in-memory source")
+                    .into_report()
+                    .expect("no checkpoint policy was installed"),
             )
         });
     });
@@ -323,16 +318,11 @@ fn bench_engine_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             let telemetry = Telemetry::new(Box::new(NullSink));
             black_box(
-                methods::run_method_source_with(
-                    &spec,
-                    &scale,
-                    trace.source(),
-                    0.0,
-                    700.0,
-                    300.0,
-                    &telemetry,
-                )
-                .expect("in-memory source"),
+                methods::simulation(&spec, &scale, 0.0, 300.0, &telemetry)
+                    .and_then(|sim| sim.run(trace.source(), 700.0))
+                    .expect("in-memory source")
+                    .into_report()
+                    .expect("no checkpoint policy was installed"),
             )
         });
     });

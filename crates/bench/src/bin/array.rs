@@ -11,7 +11,7 @@ use jpmd_bench::{experiments, write_json, ExperimentConfig, Table, WorkloadPoint
 use jpmd_core::{ArrayJointPolicy, JointConfig};
 use jpmd_disk::{Layout, SpinDownPolicy};
 use jpmd_mem::IdlePolicy;
-use jpmd_sim::{run_array_simulation, ArrayConfig, NullArrayController, RunReport};
+use jpmd_sim::{ArrayConfig, NullController, RunReport, Simulation};
 
 fn main() -> std::io::Result<()> {
     let cfg = ExperimentConfig::from_args();
@@ -28,45 +28,39 @@ fn main() -> std::io::Result<()> {
     sim.period_secs = cfg.period_secs;
 
     let run = |disks: usize, layout: Layout, method: &str| -> RunReport {
-        let array = ArrayConfig { disks, layout };
-        match method {
-            "always-on" => run_array_simulation(
+        let mut sim = sim;
+        sim.array = ArrayConfig { disks, layout };
+        let outcome = match method {
+            "always-on" => Simulation::new(&sim, SpinDownPolicy::AlwaysOn, NullController, method)
+                .run(trace.source(), cfg.duration_secs),
+            "2T" => Simulation::new(
                 &sim,
-                &array,
-                SpinDownPolicy::AlwaysOn,
-                &mut NullArrayController,
-                &trace,
-                cfg.duration_secs,
-                method,
-            ),
-            "2T" => run_array_simulation(
-                &sim,
-                &array,
                 SpinDownPolicy::two_competitive(&sim.disk_power),
-                &mut NullArrayController,
-                &trace,
-                cfg.duration_secs,
+                NullController,
                 method,
-            ),
+            )
+            .run(trace.source(), cfg.duration_secs),
             "joint" => {
-                let mut controller = ArrayJointPolicy::new(
+                let controller = ArrayJointPolicy::new(
                     JointConfig::from_sim(&sim),
                     disks,
                     layout,
                     trace.total_pages(),
                 );
-                run_array_simulation(
+                Simulation::new(
                     &sim,
-                    &array,
                     SpinDownPolicy::controlled(f64::INFINITY),
-                    &mut controller,
-                    &trace,
-                    cfg.duration_secs,
+                    controller,
                     method,
                 )
+                .run(trace.source(), cfg.duration_secs)
             }
             other => unreachable!("unknown method {other}"),
-        }
+        };
+        outcome
+            .expect("in-memory trace sources cannot fail")
+            .into_report()
+            .expect("no checkpoint policy was installed")
     };
 
     let mut table = Table::new(

@@ -31,8 +31,7 @@
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
 use jpmd_core::JointConfig;
 use jpmd_faults::{
-    chaos_trace, run_chaos, run_chaos_checkpointed, ChaosConfig, ChaosOutcome, ChaosReport,
-    FallbackLevel, GuardConfig,
+    chaos_trace, run_chaos, ChaosConfig, ChaosOutcome, ChaosReport, FallbackLevel, GuardConfig,
 };
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::{JsonlSink, Telemetry, WalPolicy};
@@ -126,7 +125,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 WalPolicy::default(),
                 INDEX_STRIDE,
             )?));
-            run_chaos(&chaos, trace.source(), &telemetry)?
+            run_chaos(&chaos, trace.source(), &telemetry, None, None)?
+                .into_report()
+                .expect("no checkpoint policy was installed")
         }
         Some(ckpt_path) if args.resume => {
             let (meta, ckpt) = load_checkpoint(ckpt_path)?;
@@ -148,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "chaos: resuming seed {} from {ckpt_path} (period {}, telemetry seq {})",
                 meta.seed, ckpt.engine.stats.counts.period_boundaries, ckpt.telemetry_seq,
             );
-            match run_chaos_checkpointed(&chaos, trace.source(), &telemetry, Some(&ckpt), None)? {
+            match run_chaos(&chaos, trace.source(), &telemetry, Some(&ckpt), None)? {
                 ChaosOutcome::Completed(report) => *report,
                 ChaosOutcome::Interrupted => unreachable!("resume runs without a checkpoint stop"),
             }
@@ -169,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut on_checkpoint = |ckpt: SimCheckpoint| {
                 saver.save(&ckpt) && die_after.is_none_or(|n| saver.saved() < n)
             };
-            let outcome = run_chaos_checkpointed(
+            let outcome = run_chaos(
                 &chaos,
                 trace.source(),
                 &telemetry,

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::SimScale;
 use jpmd_faults::{FaultyStorage, IoFaultPlan, SharedBackend};
 use jpmd_obs::{JsonlSink, ObsEvent, ObsRecord, Sink, Telemetry, WalPolicy};
@@ -140,21 +140,15 @@ fn capture_checkpoint() -> Result<SimCheckpoint, String> {
         captured = Some(ckpt);
         false
     };
-    let outcome = run_method_checkpointed(
-        &spec,
-        &scale,
-        trace.source(),
-        60.0,
-        600.0,
-        120.0,
-        &Telemetry::disabled(),
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .map_err(|e| format!("capture run: {e}"))?;
+    let outcome = methods::simulation(&spec, &scale, 60.0, 120.0, &Telemetry::disabled())
+        .and_then(|sim| {
+            sim.checkpoints(Some(CheckpointOptions {
+                policy: CheckpointPolicy::every(1),
+                on_checkpoint: &mut on_checkpoint,
+            }))
+            .run(trace.source(), 600.0)
+        })
+        .map_err(|e| format!("capture run: {e}"))?;
     if outcome != SimOutcome::Interrupted {
         return Err("capture run was not interrupted at its checkpoint".into());
     }

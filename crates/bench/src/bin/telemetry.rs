@@ -35,15 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let telemetry = Telemetry::new(Box::new(JsonlSink::create(&out)?));
-    let report = methods::run_method_source_with(
-        &methods::joint(&scale),
-        &scale,
-        trace.source(),
-        period, // one period of warm-up
-        duration,
-        period,
-        &telemetry,
-    )?;
+    // One period of warm-up.
+    let report = methods::simulation(&methods::joint(&scale), &scale, period, period, &telemetry)?
+        .run(trace.source(), duration)?
+        .into_report()
+        .expect("no checkpoint policy was installed");
     telemetry.flush();
 
     println!(

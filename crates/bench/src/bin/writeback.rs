@@ -14,7 +14,7 @@
 use jpmd_bench::{write_json, ExperimentConfig, Table};
 use jpmd_core::{methods, JointPolicy};
 use jpmd_disk::SpinDownPolicy;
-use jpmd_sim::{run_simulation, NullController, RunReport};
+use jpmd_sim::{NullController, RunReport, Simulation};
 use jpmd_trace::{WorkloadBuilder, GIB, MIB};
 
 fn main() -> std::io::Result<()> {
@@ -53,23 +53,22 @@ fn main() -> std::io::Result<()> {
         match &spec.joint {
             Some(jc) => {
                 let mut controller = JointPolicy::new(*jc);
-                run_simulation(
+                Simulation::new(
                     &sim,
                     SpinDownPolicy::controlled(f64::INFINITY),
                     &mut controller,
-                    &trace,
-                    cfg.duration_secs,
                     label,
                 )
+                .run(trace.source(), cfg.duration_secs)
+                .expect("in-memory trace sources cannot fail")
+                .into_report()
+                .expect("no checkpoint policy was installed")
             }
-            None => run_simulation(
-                &sim,
-                spec.spindown.clone(),
-                &mut NullController,
-                &trace,
-                cfg.duration_secs,
-                label,
-            ),
+            None => Simulation::new(&sim, spec.spindown.clone(), &mut NullController, label)
+                .run(trace.source(), cfg.duration_secs)
+                .expect("in-memory trace sources cannot fail")
+                .into_report()
+                .expect("no checkpoint policy was installed"),
         }
     };
 

@@ -4,7 +4,7 @@ use jpmd_core::{methods, JointConfig, JointPolicy, SimScale};
 use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::{MemorySink, Telemetry};
-use jpmd_sim::{run_simulation, RunReport};
+use jpmd_sim::{RunReport, Simulation};
 use jpmd_stats::Pareto;
 use jpmd_trace::{Trace, WorkloadBuilder, GIB, MIB};
 
@@ -133,16 +133,17 @@ fn run_with(
     trace: &Trace,
     telemetry: &Telemetry,
 ) -> RunReport {
-    methods::run_method_source_with(
+    methods::simulation(
         spec,
         &cfg.scale,
-        trace.source(),
         cfg.warmup_secs,
-        cfg.duration_secs,
         cfg.period_secs,
         telemetry,
     )
+    .and_then(|sim| sim.run(trace.source(), cfg.duration_secs))
     .expect("in-memory trace sources cannot fail")
+    .into_report()
+    .expect("no checkpoint policy was installed")
 }
 
 /// The paper's FM sizes, GiB.
@@ -600,14 +601,16 @@ pub fn ablation_constraints(cfg: &ExperimentConfig) -> Table {
         let mut jcfg = JointConfig::from_sim(&sim);
         jcfg.enforce_performance = enforce;
         let mut controller = JointPolicy::new(jcfg);
-        let r = run_simulation(
+        let r = Simulation::new(
             &sim,
             SpinDownPolicy::controlled(f64::INFINITY),
             &mut controller,
-            &trace,
-            cfg.duration_secs,
             label,
-        );
+        )
+        .run(trace.source(), cfg.duration_secs)
+        .expect("in-memory trace sources cannot fail")
+        .into_report()
+        .expect("no checkpoint policy was installed");
         table.push(
             label,
             vec![
@@ -707,14 +710,11 @@ pub fn ablation_timeout_policies(cfg: &ExperimentConfig) -> Table {
         let mut sim = cfg.scale.sim_config(spec.mem_policy, spec.initial_banks);
         sim.warmup_secs = cfg.warmup_secs;
         sim.period_secs = cfg.period_secs;
-        let r = run_simulation(
-            &sim,
-            policy,
-            &mut jpmd_sim::NullController,
-            &trace,
-            cfg.duration_secs,
-            label,
-        );
+        let r = Simulation::new(&sim, policy, &mut jpmd_sim::NullController, label)
+            .run(trace.source(), cfg.duration_secs)
+            .expect("in-memory trace sources cannot fail")
+            .into_report()
+            .expect("no checkpoint policy was installed");
         table.push(
             label,
             vec![
@@ -745,14 +745,16 @@ pub fn ablation_window(cfg: &ExperimentConfig) -> Table {
         sim.period_secs = cfg.period_secs;
         sim.aggregation_window_secs = w;
         let mut controller = JointPolicy::new(JointConfig::from_sim(&sim));
-        let r = run_simulation(
+        let r = Simulation::new(
             &sim,
             SpinDownPolicy::controlled(f64::INFINITY),
             &mut controller,
-            &trace,
-            cfg.duration_secs,
             "joint",
-        );
+        )
+        .run(trace.source(), cfg.duration_secs)
+        .expect("in-memory trace sources cannot fail")
+        .into_report()
+        .expect("no checkpoint policy was installed");
         table.push(
             format!("w = {w} s"),
             vec![

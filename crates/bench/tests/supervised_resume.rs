@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use jpmd_bench::{run_queue_supervised, TaskSupervision};
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::{MethodSpec, SimScale};
 use jpmd_obs::Telemetry;
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, RunReport, SimCheckpoint, SimOutcome};
@@ -36,20 +36,11 @@ fn complete(
     trace: &Trace,
     resume: Option<&SimCheckpoint>,
 ) -> RunReport {
-    run_method_checkpointed(
-        spec,
-        scale,
-        trace.source(),
-        WARMUP,
-        DURATION,
-        PERIOD,
-        &Telemetry::disabled(),
-        resume,
-        None,
-    )
-    .expect("run succeeds")
-    .into_report()
-    .expect("run completes")
+    methods::simulation(spec, scale, WARMUP, PERIOD, &Telemetry::disabled())
+        .and_then(|sim| sim.resume(resume).run(trace.source(), DURATION))
+        .expect("run succeeds")
+        .into_report()
+        .expect("run completes")
 }
 
 #[test]
@@ -78,21 +69,16 @@ fn a_crashed_task_resumes_from_its_checkpoint_on_retry() {
                 let mut saver = FileCheckpointer::new(&jck, CkptMeta::new("method"), telemetry);
                 let mut on_checkpoint =
                     |ckpt: SimCheckpoint| saver.save(&ckpt) && saver.saved() < 2;
-                let outcome = run_method_checkpointed(
-                    spec,
-                    &scale,
-                    trace.source(),
-                    WARMUP,
-                    DURATION,
-                    PERIOD,
-                    &Telemetry::disabled(),
-                    None,
-                    Some(CheckpointOptions {
-                        policy: CheckpointPolicy::every(1),
-                        on_checkpoint: &mut on_checkpoint,
-                    }),
-                )
-                .expect("interrupted run");
+                let outcome =
+                    methods::simulation(spec, &scale, WARMUP, PERIOD, &Telemetry::disabled())
+                        .and_then(|sim| {
+                            sim.checkpoints(Some(CheckpointOptions {
+                                policy: CheckpointPolicy::every(1),
+                                on_checkpoint: &mut on_checkpoint,
+                            }))
+                            .run(trace.source(), DURATION)
+                        })
+                        .expect("interrupted run");
                 assert_eq!(outcome, SimOutcome::Interrupted);
                 ctx.beat();
                 panic!("injected crash after checkpoint");

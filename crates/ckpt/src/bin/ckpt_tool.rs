@@ -7,7 +7,7 @@
 use std::process::ExitCode;
 
 use jpmd_ckpt::load_checkpoint;
-use jpmd_faults::{chaos_trace, run_chaos_checkpointed, ChaosConfig};
+use jpmd_faults::{chaos_trace, run_chaos, ChaosConfig};
 use jpmd_obs::cli::{self, CliError};
 use jpmd_obs::{JsonlSink, Telemetry, WalPolicy};
 
@@ -101,7 +101,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
         )?)),
         None => Telemetry::disabled(),
     };
-    let report = run_chaos_checkpointed(&chaos, trace.source(), &telemetry, Some(&ckpt), None)?
+    let report = run_chaos(&chaos, trace.source(), &telemetry, Some(&ckpt), None)?
         .into_report()
         .expect("a resume without a checkpoint policy runs to completion");
     println!("label            {}", report.report.label);

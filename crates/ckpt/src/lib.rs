@@ -22,10 +22,9 @@
 //!
 //! Resume contract: rebuild the run from the **same** configuration and
 //! an identical source, pass the loaded checkpoint to
-//! [`jpmd_sim::run_simulation_full`] (or
-//! [`jpmd_core::methods::run_method_checkpointed`] /
-//! [`jpmd_faults::run_chaos_checkpointed`]), and reopen the telemetry
-//! file with [`jpmd_obs::JsonlSink::resume`] at the checkpoint's
+//! [`jpmd_sim::Simulation::resume`] (which every run goes through,
+//! [`jpmd_faults::run_chaos`] included), and reopen the telemetry file
+//! with [`jpmd_obs::JsonlSink::resume`] at the checkpoint's
 //! `telemetry_seq`. The completed report is then bit-identical to the
 //! uninterrupted run's, and the telemetry stream is gap-free (the
 //! integration tests assert both, for the always-on, power-down, joint,

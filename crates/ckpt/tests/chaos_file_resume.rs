@@ -8,7 +8,7 @@ use std::fs;
 use std::path::Path;
 
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_faults::{chaos_trace, run_chaos_checkpointed, ChaosConfig, ChaosOutcome};
+use jpmd_faults::{chaos_trace, run_chaos, ChaosConfig, ChaosOutcome};
 use jpmd_obs::{JsonlSink, ObsRecord, Telemetry, WalPolicy};
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint};
 
@@ -38,7 +38,7 @@ fn chaos_run_resumes_from_jck_and_wal_files() {
             JsonlSink::create_with(&baseline_wal, WalPolicy::wal()).expect("baseline sink"),
         ));
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-        run_chaos_checkpointed(&chaos, trace.source(), &telemetry, None, None)
+        run_chaos(&chaos, trace.source(), &telemetry, None, None)
             .expect("baseline chaos run")
             .into_report()
             .expect("baseline completes")
@@ -57,7 +57,7 @@ fn chaos_run_resumes_from_jck_and_wal_files() {
         let mut saver = FileCheckpointer::new(&jck, meta, telemetry.clone());
         let mut on_checkpoint = |ckpt: SimCheckpoint| saver.save(&ckpt) && saver.saved() < 5;
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-        let outcome = run_chaos_checkpointed(
+        let outcome = run_chaos(
             &chaos,
             trace.source(),
             &telemetry,
@@ -92,7 +92,7 @@ fn chaos_run_resumes_from_jck_and_wal_files() {
             JsonlSink::resume(&run_wal, ckpt.telemetry_seq, WalPolicy::wal()).expect("WAL reopens"),
         ));
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, meta.trace_seed);
-        run_chaos_checkpointed(&chaos, trace.source(), &telemetry, Some(&ckpt), None)
+        run_chaos(&chaos, trace.source(), &telemetry, Some(&ckpt), None)
             .expect("resumed chaos run")
             .into_report()
             .expect("resumed run completes")

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use jpmd_ckpt::{load_checkpoint, save_checkpoint, save_checkpoint_on, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::SimScale;
 use jpmd_faults::{FaultyStorage, IoFaultPlan, SharedBackend, StorageFaults};
 use jpmd_obs::Telemetry;
@@ -30,21 +30,15 @@ fn capture_checkpoint() -> SimCheckpoint {
         captured = Some(ckpt);
         false
     };
-    let outcome = run_method_checkpointed(
-        &spec,
-        &scale,
-        trace.source(),
-        60.0,
-        600.0,
-        120.0,
-        &Telemetry::disabled(),
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .expect("capture run");
+    let outcome = methods::simulation(&spec, &scale, 60.0, 120.0, &Telemetry::disabled())
+        .and_then(|sim| {
+            sim.checkpoints(Some(CheckpointOptions {
+                policy: CheckpointPolicy::every(1),
+                on_checkpoint: &mut on_checkpoint,
+            }))
+            .run(trace.source(), 600.0)
+        })
+        .expect("capture run");
     assert_eq!(outcome, SimOutcome::Interrupted);
     captured.expect("one checkpoint captured")
 }

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::{DiskPolicyKind, MethodSpec, SimScale};
 use jpmd_obs::{JsonlSink, ObsRecord, Telemetry, WalPolicy};
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
@@ -63,20 +63,11 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let telemetry = Telemetry::new(Box::new(
             JsonlSink::create_with(&baseline_wal, WalPolicy::wal()).expect("baseline sink"),
         ));
-        run_method_checkpointed(
-            spec,
-            &scale,
-            trace.source(),
-            WARMUP,
-            DURATION,
-            PERIOD,
-            &telemetry,
-            None,
-            None,
-        )
-        .expect("baseline run")
-        .into_report()
-        .expect("baseline completes")
+        methods::simulation(spec, &scale, WARMUP, PERIOD, &telemetry)
+            .and_then(|sim| sim.run(trace.source(), DURATION))
+            .expect("baseline run")
+            .into_report()
+            .expect("baseline completes")
     };
 
     // Interrupted run: checkpoint every period into the .jck, stop after
@@ -89,21 +80,15 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let mut saver = FileCheckpointer::new(&jck, meta, telemetry.clone());
         let mut on_checkpoint =
             |ckpt: SimCheckpoint| saver.save(&ckpt) && saver.saved() < stop_after;
-        let outcome = run_method_checkpointed(
-            spec,
-            &scale,
-            trace.source(),
-            WARMUP,
-            DURATION,
-            PERIOD,
-            &telemetry,
-            None,
-            Some(CheckpointOptions {
-                policy: CheckpointPolicy::every(1),
-                on_checkpoint: &mut on_checkpoint,
-            }),
-        )
-        .expect("interrupted run");
+        let outcome = methods::simulation(spec, &scale, WARMUP, PERIOD, &telemetry)
+            .and_then(|sim| {
+                sim.checkpoints(Some(CheckpointOptions {
+                    policy: CheckpointPolicy::every(1),
+                    on_checkpoint: &mut on_checkpoint,
+                }))
+                .run(trace.source(), DURATION)
+            })
+            .expect("interrupted run");
         assert_eq!(outcome, SimOutcome::Interrupted);
         assert!(saver.take_error().is_none(), "checkpoint saves succeed");
         assert_eq!(saver.saved(), stop_after);
@@ -116,20 +101,11 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let telemetry = Telemetry::new(Box::new(
             JsonlSink::resume(&run_wal, ckpt.telemetry_seq, WalPolicy::wal()).expect("WAL reopens"),
         ));
-        run_method_checkpointed(
-            spec,
-            &scale,
-            trace.source(),
-            WARMUP,
-            DURATION,
-            PERIOD,
-            &telemetry,
-            Some(&ckpt),
-            None,
-        )
-        .expect("resumed run")
-        .into_report()
-        .expect("resumed run completes")
+        methods::simulation(spec, &scale, WARMUP, PERIOD, &telemetry)
+            .and_then(|sim| sim.resume(Some(&ckpt)).run(trace.source(), DURATION))
+            .expect("resumed run")
+            .into_report()
+            .expect("resumed run completes")
     };
 
     assert_eq!(baseline, resumed, "resumed report must be bit-identical");

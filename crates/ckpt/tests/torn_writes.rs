@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use jpmd_ckpt::{load_checkpoint, save_checkpoint, CkptError, CkptMeta};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::SimScale;
 use jpmd_obs::Telemetry;
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
@@ -32,21 +32,15 @@ fn capture_checkpoint() -> SimCheckpoint {
         captured = Some(ckpt);
         false
     };
-    let outcome = run_method_checkpointed(
-        &spec,
-        &scale,
-        trace.source(),
-        60.0,
-        600.0,
-        120.0,
-        &Telemetry::disabled(),
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .expect("capture run");
+    let outcome = methods::simulation(&spec, &scale, 60.0, 120.0, &Telemetry::disabled())
+        .and_then(|sim| {
+            sim.checkpoints(Some(CheckpointOptions {
+                policy: CheckpointPolicy::every(1),
+                on_checkpoint: &mut on_checkpoint,
+            }))
+            .run(trace.source(), 600.0)
+        })
+        .expect("capture run");
     assert_eq!(outcome, SimOutcome::Interrupted);
     captured.expect("one checkpoint captured")
 }

@@ -171,6 +171,7 @@ impl PeriodController for PlannedController {
             Some(point) => ControlAction {
                 enabled_banks: Some(point.banks),
                 disk_timeout: Some(point.timeout_s),
+                disk_timeouts: Vec::new(),
             },
             None => ControlAction::default(),
         }

@@ -398,6 +398,7 @@ impl JointPolicy {
             return Ok(ControlAction {
                 enabled_banks: None,
                 disk_timeout: Some(timeout),
+                disk_timeouts: Vec::new(),
             });
         }
 
@@ -478,6 +479,7 @@ impl JointPolicy {
             Some(choice) => ControlAction {
                 enabled_banks: Some(choice.banks),
                 disk_timeout: Some(choice.timeout_secs),
+                disk_timeouts: Vec::new(),
             },
             None => ControlAction::default(),
         };
@@ -487,7 +489,7 @@ impl JointPolicy {
         // behavior.
         let fail = |error: PolicyError| PolicyFailure {
             error,
-            fallback: action,
+            fallback: action.clone(),
         };
         let evals = &self.last_evaluations;
         if evals.is_empty() {

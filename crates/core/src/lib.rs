@@ -13,7 +13,9 @@
 //!   under the utilization and delayed-request constraints,
 //! * [`methods`] — the registry of all 16 power-management methods of the
 //!   paper's evaluation, runnable over any workload via
-//!   [`methods::run_method`],
+//!   [`methods::run_method`] (or built into a [`jpmd_sim::Simulation`] by
+//!   [`methods::simulation`]),
+//! * [`ArrayJointPolicy`] — the joint method over a disk array (paper §VI),
 //! * [`SimScale`] — the experiment-scale mapping described in `DESIGN.md`.
 //!
 //! # Symbol map (paper Table I)
@@ -71,7 +73,6 @@ pub mod methods;
 mod multidisk;
 pub mod predict;
 mod scale;
-pub mod stepper;
 pub mod timeout;
 
 pub use coordinate::{
@@ -85,4 +86,3 @@ pub use predict::{
     candidate_banks, irm_miss_rate, predict_sizes, predict_sizes_routed, SizePrediction,
 };
 pub use scale::SimScale;
-pub use stepper::{FeedOutcome, PolicyStepper};

@@ -11,17 +11,16 @@
 //!
 //! `2T × FM{8,16,32,64,128} ∪ AD × FM{…} ∪ {2T,AD} × {PD,DS} ∪ {Joint}`
 //! gives the 15 managed methods of the paper; [`paper_suite`] constructs
-//! all 16 (baseline included) for the experiment harness.
+//! all 16 (baseline included) for the experiment harness, and
+//! [`simulation`] turns any of them into a ready-to-run
+//! [`Simulation`].
 
 use serde::{Deserialize, Serialize};
 
 use jpmd_disk::SpinDownPolicy;
-use jpmd_mem::{IdlePolicy, MemConfig, Replacement};
+use jpmd_mem::{IdlePolicy, Replacement};
 use jpmd_obs::Telemetry;
-use jpmd_sim::{
-    run_simulation_full, CheckpointOptions, NullController, RunReport, SimCheckpoint, SimConfig,
-    SimOutcome,
-};
+use jpmd_sim::{NullController, PeriodController, RunReport, Simulation};
 use jpmd_trace::{SourceError, Trace, TraceSource};
 
 use crate::{JointConfig, JointPolicy, SimScale};
@@ -196,6 +195,45 @@ pub fn paper_suite(scale: &SimScale, fm_sizes_gb: &[u64]) -> Vec<MethodSpec> {
     out
 }
 
+/// One method's simulation, ready for a source ([`Simulation::run`]) or an
+/// incremental start ([`Simulation::start`]): the method's memory
+/// configuration, replacement and spin-down policies and label, with
+/// `warmup_secs`/`period_secs` carving the measured window and the control
+/// period, and its controller — a [`JointPolicy`] for the joint method
+/// (emitting one `PolicyDecision` per period through `telemetry`: fitted
+/// Pareto α/β, chosen timeout and memory size, and the candidate power
+/// table), a [`NullController`] for every other. `telemetry` is attached
+/// to the run too.
+///
+/// # Errors
+///
+/// Fails on an invalid joint configuration.
+pub fn simulation<'a>(
+    spec: &MethodSpec,
+    scale: &SimScale,
+    warmup_secs: f64,
+    period_secs: f64,
+    telemetry: &Telemetry,
+) -> Result<Simulation<'a, Box<dyn PeriodController>>, SourceError> {
+    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
+    sim.warmup_secs = warmup_secs;
+    sim.period_secs = period_secs;
+    sim.replacement = spec.replacement;
+    sim.consolidate = spec.consolidate;
+    let controller: Box<dyn PeriodController> = match &spec.joint {
+        Some(joint_cfg) => {
+            let mut cfg = *joint_cfg;
+            cfg.period_secs = period_secs;
+            Box::new(
+                JointPolicy::try_with_telemetry(cfg, telemetry.clone())
+                    .map_err(SourceError::new)?,
+            )
+        }
+        None => Box::new(NullController),
+    };
+    Ok(Simulation::new(&sim, spec.spindown.clone(), controller, &spec.label).telemetry(telemetry))
+}
+
 /// Runs one method over a trace and returns its report.
 ///
 /// `warmup_secs`/`duration_secs` carve the measured window; `period_secs`
@@ -236,235 +274,24 @@ pub fn run_method_source<S: TraceSource>(
     duration_secs: f64,
     period_secs: f64,
 ) -> Result<RunReport, SourceError> {
-    run_method_source_with(
+    let outcome = simulation(
         spec,
         scale,
-        source,
         warmup_secs,
-        duration_secs,
         period_secs,
         &Telemetry::disabled(),
-    )
-}
-
-/// Like [`run_method_source`], with telemetry: the simulator emits run
-/// lifecycle and per-period traffic events, and the joint method
-/// additionally emits one `PolicyDecision` per period (fitted Pareto α/β,
-/// chosen timeout and memory size, and the candidate power table).
-///
-/// With a disabled handle this *is* [`run_method_source`]; with any sink
-/// the returned report is bit-identical to the uninstrumented run (the
-/// `determinism` tests in `jpmd-obs` assert both).
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_source_with<S: TraceSource>(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-) -> Result<RunReport, SourceError> {
-    match run_method_checkpointed(
-        spec,
-        scale,
-        source,
-        warmup_secs,
-        duration_secs,
-        period_secs,
-        telemetry,
-        None,
-        None,
-    )? {
-        SimOutcome::Completed(report) => Ok(*report),
-        SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
-
-/// The checkpointable twin of [`run_method_source_with`]: the same method
-/// wiring, with optional checkpoint capture and resume-from-checkpoint
-/// forwarded to [`run_simulation_full`].
-///
-/// The resume contract is [`run_simulation_full`]'s: a resumed run must be
-/// rebuilt from the **same** spec, scale, cadence, and an identical source
-/// (the engine replays and discards the consumed prefix), after which the
-/// completed report is bit-identical to the uninterrupted run's. The
-/// joint method's controller state (period counter, last candidate table)
-/// travels inside the checkpoint's observer/controller images.
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields, an invalid
-/// joint configuration, or a checkpoint that fails to restore.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the scale's, or if
-/// `duration_secs` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)] // mirrors run_method_source_with + resume/checkpoints
-pub fn run_method_checkpointed<S: TraceSource>(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
-) -> Result<SimOutcome, SourceError> {
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    sim.replacement = spec.replacement;
-    sim.consolidate = spec.consolidate;
-    match &spec.joint {
-        Some(joint_cfg) => {
-            let mut cfg = *joint_cfg;
-            cfg.period_secs = period_secs;
-            let mut controller = JointPolicy::try_with_telemetry(cfg, telemetry.clone())
-                .map_err(SourceError::new)?;
-            run_simulation_full(
-                &sim,
-                spec.spindown.clone(),
-                &mut controller,
-                source,
-                duration_secs,
-                &spec.label,
-                telemetry,
-                None,
-                resume,
-                checkpoints,
-            )
-        }
-        None => run_simulation_full(
-            &sim,
-            spec.spindown.clone(),
-            &mut NullController,
-            source,
-            duration_secs,
-            &spec.label,
-            telemetry,
-            None,
-            resume,
-            checkpoints,
-        ),
-    }
-}
-
-/// Runs an arbitrary [`PeriodController`](jpmd_sim::PeriodController)
-/// over a workload with the same
-/// wiring as [`run_method_checkpointed`] — the seam the fleet layer uses
-/// for its bidding and planned passes, where the controller is not one of
-/// the paper's named methods. The memory idle policy is `Nap` with global
-/// LRU (the joint method's configuration); `spindown` and `initial_banks`
-/// are the caller's.
-///
-/// The resume contract is unchanged: rebuild the run with the same
-/// arguments and a controller of the same type (its dynamic state is
-/// restored from the checkpoint's controller image), and the completed
-/// report is bit-identical to the uninterrupted run's.
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields, or a
-/// checkpoint that fails to restore.
-#[allow(clippy::too_many_arguments)] // mirrors run_method_checkpointed
-pub fn run_controller_checkpointed<S: TraceSource>(
-    label: &str,
-    scale: &SimScale,
-    spindown: SpinDownPolicy,
-    initial_banks: u32,
-    controller: &mut dyn jpmd_sim::PeriodController,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
-) -> Result<SimOutcome, SourceError> {
-    let mut sim = scale.sim_config(IdlePolicy::Nap, initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    run_simulation_full(
-        &sim,
-        spindown,
-        controller,
-        source,
-        duration_secs,
-        label,
-        telemetry,
-        None,
-        resume,
-        checkpoints,
-    )
-}
-
-/// Runs one method over a trace on a **disk array**, mirroring
-/// [`run_method`]: the joint method becomes the array-aware
-/// [`ArrayJointPolicy`](crate::ArrayJointPolicy) (per-disk Pareto fits and
-/// timeouts); static methods apply their spin-down policy per member.
-#[allow(clippy::too_many_arguments)] // mirrors run_method + array geometry
-pub fn run_array_method(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    array: &jpmd_sim::ArrayConfig,
-    trace: &Trace,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-) -> RunReport {
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    sim.replacement = spec.replacement;
-    sim.consolidate = spec.consolidate;
-    match &spec.joint {
-        Some(joint_cfg) => {
-            let mut cfg = *joint_cfg;
-            cfg.period_secs = period_secs;
-            let mut controller =
-                crate::ArrayJointPolicy::new(cfg, array.disks, array.layout, trace.total_pages());
-            jpmd_sim::run_array_simulation(
-                &sim,
-                array,
-                spec.spindown.clone(),
-                &mut controller,
-                trace,
-                duration_secs,
-                &spec.label,
-            )
-        }
-        None => jpmd_sim::run_array_simulation(
-            &sim,
-            array,
-            spec.spindown.clone(),
-            &mut jpmd_sim::NullArrayController,
-            trace,
-            duration_secs,
-            &spec.label,
-        ),
-    }
-}
-
-/// Convenience: the memory configuration a method starts with.
-pub fn mem_config_for(spec: &MethodSpec, scale: &SimScale) -> MemConfig {
-    scale.sim_config(spec.mem_policy, spec.initial_banks).mem
-}
-
-/// Convenience: the simulation configuration a method runs under.
-pub fn sim_config_for(spec: &MethodSpec, scale: &SimScale) -> SimConfig {
-    scale.sim_config(spec.mem_policy, spec.initial_banks)
+    )?
+    .run(source, duration_secs)?;
+    Ok(outcome
+        .into_report()
+        .expect("no checkpoint policy was installed"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jpmd_sim::{FeedOutcome, PolicyStepper, SimCheckpoint};
+    use jpmd_trace::{TraceRecord, WorkloadBuilder, GIB, MIB};
 
     fn scale() -> SimScale {
         SimScale::small_test()
@@ -514,42 +341,137 @@ mod tests {
     }
 
     #[test]
-    fn run_array_method_dispatches_to_array_controller() {
-        use jpmd_disk::Layout;
-        use jpmd_trace::{WorkloadBuilder, GIB, MIB};
-        let scale = SimScale::small_test();
-        let trace = WorkloadBuilder::new()
-            .data_set_bytes(GIB / 2)
-            .rate_bytes_per_sec(4 * MIB)
-            .duration_secs(700.0)
-            .seed(3)
-            .build()
-            .expect("workload");
-        let array = jpmd_sim::ArrayConfig {
-            disks: 2,
-            layout: Layout::Partitioned,
-        };
-        let j = run_array_method(&joint(&scale), &scale, &array, &trace, 0.0, 700.0, 300.0);
-        let b = run_array_method(
-            &always_on(&scale),
-            &scale,
-            &array,
-            &trace,
-            0.0,
-            700.0,
-            300.0,
-        );
-        assert_eq!(j.cache_accesses, b.cache_accesses);
-        assert!(j.energy.total_j() < b.energy.total_j());
-        // The joint controller must have acted at the period boundaries.
-        assert!(j.periods.iter().any(|p| p.action.enabled_banks.is_some()));
-    }
-
-    #[test]
     fn fixed_memory_banks_scale_with_gb() {
         let s = SimScale::default();
         let m8 = fixed_memory(&s, DiskPolicyKind::TwoCompetitive, 8);
         let m16 = fixed_memory(&s, DiskPolicyKind::TwoCompetitive, 16);
         assert_eq!(m16.initial_banks, 2 * m8.initial_banks);
+    }
+
+    fn workload(seed: u64) -> Trace {
+        WorkloadBuilder::new()
+            .data_set_bytes(GIB / 2)
+            .rate_bytes_per_sec(4 * MIB)
+            .duration_secs(1800.0)
+            .seed(seed)
+            .build()
+            .expect("workload")
+    }
+
+    fn run_stepper(
+        spec: &MethodSpec,
+        scale: &SimScale,
+        trace: &Trace,
+        duration: f64,
+        period: f64,
+    ) -> RunReport {
+        let mut stepper = simulation(spec, scale, 0.0, period, &Telemetry::disabled())
+            .and_then(|sim| sim.start(trace.total_pages(), duration))
+            .expect("stepper");
+        let mut source = trace.source();
+        let mut decisions = 0usize;
+        while let Some(next) = source.next_record() {
+            let record = next.expect("in-memory sources cannot fail");
+            if stepper.feed(record) == FeedOutcome::Finished {
+                break;
+            }
+            decisions += stepper.poll_rows().len();
+        }
+        assert_eq!(decisions, stepper.rows().len());
+        stepper.finish()
+    }
+
+    /// An incremental start of `spec` over `trace` (1800 s, 300-s periods).
+    fn start(
+        spec: &MethodSpec,
+        scale: &SimScale,
+        trace: &Trace,
+        resume: Option<&SimCheckpoint>,
+    ) -> PolicyStepper<Box<dyn PeriodController>> {
+        simulation(spec, scale, 0.0, 300.0, &Telemetry::disabled())
+            .and_then(|sim| sim.resume(resume).start(trace.total_pages(), 1800.0))
+            .expect("stepper")
+    }
+
+    #[test]
+    fn stepper_matches_batch_always_on() {
+        let scale = SimScale::small_test();
+        let trace = workload(11);
+        let spec = always_on(&scale);
+        let batch = run_method(&spec, &scale, &trace, 0.0, 1800.0, 300.0);
+        let stepped = run_stepper(&spec, &scale, &trace, 1800.0, 300.0);
+        assert_eq!(stepped, batch);
+    }
+
+    #[test]
+    fn stepper_matches_batch_joint() {
+        let scale = SimScale::small_test();
+        let trace = workload(7);
+        let spec = joint(&scale);
+        let batch = run_method(&spec, &scale, &trace, 0.0, 1800.0, 300.0);
+        let stepped = run_stepper(&spec, &scale, &trace, 1800.0, 300.0);
+        assert_eq!(stepped, batch);
+        // The joint policy actually acted somewhere in the run.
+        assert!(stepped
+            .periods
+            .iter()
+            .any(|p| p.action.enabled_banks.is_some()));
+    }
+
+    #[test]
+    fn queries_track_the_live_operating_point() {
+        let scale = SimScale::small_test();
+        let trace = workload(5);
+        let spec = joint(&scale);
+        let mut stepper = start(&spec, &scale, &trace, None);
+        let mut source = trace.source();
+        while let Some(next) = source.next_record() {
+            if stepper.feed(next.expect("infallible")) == FeedOutcome::Finished {
+                break;
+            }
+        }
+        assert!(stepper.enabled_banks() >= 1);
+        assert!(stepper.enabled_banks() <= stepper.total_banks());
+        assert!(stepper.disk_timeout() > 0.0);
+        assert!(stepper.energy_so_far_j() > 0.0);
+        assert!(stepper.sim_time() > 0.0);
+        assert!(stepper.records_pulled() > 0);
+    }
+
+    #[test]
+    fn checkpoint_resume_matches_uninterrupted() {
+        let scale = SimScale::small_test();
+        let trace = workload(13);
+        let spec = joint(&scale);
+        let uninterrupted = run_stepper(&spec, &scale, &trace, 1800.0, 300.0);
+
+        // Feed half the stream, checkpoint, abandon the stepper.
+        let records: Vec<TraceRecord> = {
+            let mut source = trace.source();
+            let mut out = Vec::new();
+            while let Some(next) = source.next_record() {
+                out.push(next.expect("infallible"));
+            }
+            out
+        };
+        let mut first = start(&spec, &scale, &trace, None);
+        for record in &records[..records.len() / 2] {
+            assert_ne!(first.feed(*record), FeedOutcome::Finished);
+        }
+        let ckpt = first.checkpoint();
+        drop(first);
+
+        // Resume and replay the whole stream; the prefix is discarded.
+        let mut resumed = start(&spec, &scale, &trace, Some(&ckpt));
+        let mut skipped = 0u64;
+        for record in &records {
+            match resumed.feed(*record) {
+                FeedOutcome::Skipped => skipped += 1,
+                FeedOutcome::Finished => break,
+                FeedOutcome::Replayed => {}
+            }
+        }
+        assert_eq!(skipped, ckpt.engine.stats.records_pulled);
+        assert_eq!(resumed.finish(), uninterrupted);
     }
 }

@@ -14,7 +14,7 @@
 
 use jpmd_disk::Layout;
 use jpmd_mem::AccessLog;
-use jpmd_sim::{ArrayControlAction, ArrayPeriodController, ArrayPeriodObservation};
+use jpmd_sim::{ControlAction, PeriodController, PeriodObservation};
 use jpmd_stats::fit;
 
 use crate::predict::{candidate_banks, predict_sizes_routed, SizePrediction};
@@ -36,7 +36,9 @@ pub struct ArrayCandidate {
     pub feasible: bool,
 }
 
-/// The multi-disk joint power manager.
+/// The multi-disk joint power manager: a [`PeriodController`] for a run
+/// whose [`ArrayConfig`](jpmd_sim::ArrayConfig) has the same member count
+/// and layout.
 ///
 /// # Example
 ///
@@ -167,19 +169,22 @@ impl ArrayJointPolicy {
     }
 }
 
-impl ArrayPeriodController for ArrayJointPolicy {
-    fn on_period_end(
-        &mut self,
-        obs: &ArrayPeriodObservation,
-        log: &AccessLog,
-    ) -> ArrayControlAction {
+/// An action setting each member's timeout; `disk_timeout` carries the
+/// first member's, the timeout a single-disk report shows.
+fn per_member(enabled_banks: Option<u32>, timeouts: Vec<f64>) -> ControlAction {
+    ControlAction {
+        enabled_banks,
+        disk_timeout: timeouts.first().copied(),
+        disk_timeouts: timeouts,
+    }
+}
+
+impl PeriodController for ArrayJointPolicy {
+    fn on_period_end(&mut self, obs: &PeriodObservation, log: &AccessLog) -> ControlAction {
         let cfg = self.config;
         if log.is_empty() {
             self.last_candidates.clear();
-            return ArrayControlAction {
-                enabled_banks: None,
-                disk_timeouts: Some(vec![cfg.disk_power.break_even_s(); self.disks]),
-            };
+            return per_member(None, vec![cfg.disk_power.break_even_s(); self.disks]);
         }
 
         let banks = candidate_banks(log, cfg.bank_pages, cfg.min_banks, cfg.total_banks);
@@ -205,9 +210,9 @@ impl ArrayPeriodController for ArrayJointPolicy {
         })
         .collect();
 
-        let total_requests: u64 = obs.per_disk.iter().map(|d| d.requests).sum();
-        let avg_run_pages = if total_requests > 0 {
-            obs.disk_page_accesses as f64 / total_requests as f64
+        // Member sub-requests count one by one in `disk_requests`.
+        let avg_run_pages = if obs.disk_requests > 0 {
+            obs.disk_page_accesses as f64 / obs.disk_requests as f64
         } else {
             1.0
         };
@@ -234,11 +239,8 @@ impl ArrayPeriodController for ArrayJointPolicy {
         self.last_candidates = candidates;
 
         match best {
-            Some(choice) => ArrayControlAction {
-                enabled_banks: Some(choice.banks),
-                disk_timeouts: Some(choice.timeouts),
-            },
-            None => ArrayControlAction::default(),
+            Some(choice) => per_member(Some(choice.banks), choice.timeouts),
+            None => ControlAction::default(),
         }
     }
 
@@ -252,7 +254,6 @@ mod tests {
     use super::*;
     use crate::SimScale;
     use jpmd_mem::{IdlePolicy, StackProfiler};
-    use jpmd_sim::DiskPeriodStats;
     use jpmd_stats::IdleIntervals;
 
     fn policy(disks: usize, layout: Layout) -> ArrayJointPolicy {
@@ -266,20 +267,19 @@ mod tests {
         )
     }
 
-    fn observation(disks: usize, banks: u32) -> ArrayPeriodObservation {
-        ArrayPeriodObservation {
+    fn observation(banks: u32) -> PeriodObservation {
+        PeriodObservation {
             start: 0.0,
             end: 600.0,
             cache_accesses: 0,
             disk_page_accesses: 0,
+            disk_requests: 0,
+            disk_busy_secs: 0.0,
+            idle: IdleIntervals::default().stats(),
+            delayed_page_accesses: 0,
             enabled_banks: banks,
-            per_disk: (0..disks)
-                .map(|_| DiskPeriodStats {
-                    requests: 0,
-                    busy_secs: 0.0,
-                    idle: IdleIntervals::default().stats(),
-                })
-                .collect(),
+            disk_timeout: f64::INFINITY,
+            energy_total_j: 0.0,
         }
     }
 
@@ -296,9 +296,10 @@ mod tests {
     #[test]
     fn empty_log_sleeps_all_disks() {
         let mut p = policy(3, Layout::Partitioned);
-        let action = p.on_period_end(&observation(3, 8), &AccessLog::new());
-        let timeouts = action.disk_timeouts.expect("per-disk timeouts");
+        let action = p.on_period_end(&observation(8), &AccessLog::new());
+        let timeouts = action.disk_timeouts;
         assert_eq!(timeouts.len(), 3);
+        assert_eq!(action.disk_timeout, Some(timeouts[0]));
         for t in timeouts {
             assert!((t - 77.5 / 6.6).abs() < 1e-6);
         }
@@ -308,8 +309,8 @@ mod tests {
     fn produces_one_timeout_per_disk() {
         let mut p = policy(4, Layout::Partitioned);
         let log = hot_log(64, 2000, 0.3);
-        let action = p.on_period_end(&observation(4, 256), &log);
-        assert_eq!(action.disk_timeouts.expect("timeouts").len(), 4);
+        let action = p.on_period_end(&observation(256), &log);
+        assert_eq!(action.disk_timeouts.len(), 4);
         assert!(action.enabled_banks.is_some());
         assert!(!p.last_candidates().is_empty());
         for c in p.last_candidates() {
@@ -326,7 +327,7 @@ mod tests {
         // differ.
         let mut p = policy(4, Layout::Partitioned);
         let log = hot_log(64, 2000, 0.3); // pages 0..64, partition 0 holds 0..1024
-        p.on_period_end(&observation(4, 256), &log);
+        p.on_period_end(&observation(256), &log);
         let chosen = p
             .last_candidates()
             .iter()
@@ -342,7 +343,7 @@ mod tests {
     fn striped_traffic_loads_all_disks() {
         let mut p = policy(4, Layout::Striped { stripe_pages: 1 });
         let log = hot_log(64, 2000, 0.3);
-        p.on_period_end(&observation(4, 256), &log);
+        p.on_period_end(&observation(256), &log);
         let chosen = p
             .last_candidates()
             .iter()

@@ -16,6 +16,8 @@
 //!
 //! Requests spanning a layout boundary are split into per-disk
 //! sub-requests; the array-level completion is the last sub-completion.
+//! An array of one disk passes every request through unsplit, so it
+//! behaves exactly like a lone [`Disk`].
 
 use serde::{Deserialize, Serialize};
 
@@ -47,19 +49,6 @@ impl Layout {
     }
 }
 
-/// Outcome of one array-level request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArrayOutcome {
-    /// Completion of the slowest sub-request, s.
-    pub completion: f64,
-    /// Array-level latency (slowest sub-request), s.
-    pub latency: f64,
-    /// True when any sub-request had to wake its disk.
-    pub woke_disk: bool,
-    /// Per-disk sub-outcomes `(disk index, outcome)`.
-    pub parts: Vec<(usize, RequestOutcome)>,
-}
-
 /// An array of independently power-managed disks behind one page space.
 ///
 /// # Example
@@ -75,8 +64,13 @@ pub struct ArrayOutcome {
 ///     Layout::Partitioned,
 /// );
 /// array.set_timeout_all(11.7);
-/// let out = array.submit(0.0, 42, 8, 1 << 20);
-/// assert_eq!(out.parts.len(), 1); // partitioned: one disk serves it
+/// let mut parts = 0;
+/// let out = array.submit(0.0, 42, 8, 1 << 20, |_, _, part| {
+///     parts += 1;
+///     part
+/// });
+/// assert_eq!(parts, 1); // partitioned: one disk serves it
+/// assert!(out.latency > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiskArray {
@@ -143,6 +137,11 @@ impl DiskArray {
         &self.disks[idx]
     }
 
+    /// The member disks, in index order.
+    pub fn disks(&self) -> &[Disk] {
+        &self.disks
+    }
+
     /// Sets one member's spin-down timeout.
     ///
     /// # Panics
@@ -160,7 +159,12 @@ impl DiskArray {
     }
 
     /// Submits a request for contiguous global pages, splitting it at
-    /// layout boundaries.
+    /// layout boundaries. `on_part` sees each member's sub-request right
+    /// after it is queued — `(member, disk, outcome)` — and returns the
+    /// outcome to keep, so a caller can stall the disk or retune its
+    /// timeout. The array-level outcome spans all parts: the slowest
+    /// completion, and whether any part woke its disk. With one member the
+    /// request goes through unsplit and its pages unmapped.
     ///
     /// # Panics
     ///
@@ -171,39 +175,38 @@ impl DiskArray {
         first_page: u64,
         pages: u64,
         page_bytes: u64,
-    ) -> ArrayOutcome {
+        mut on_part: impl FnMut(usize, &mut Disk, RequestOutcome) -> RequestOutcome,
+    ) -> RequestOutcome {
         assert!(pages > 0, "request must cover at least one page");
-        let mut parts: Vec<(usize, RequestOutcome)> = Vec::new();
+        if let [disk] = self.disks.as_mut_slice() {
+            let outcome = disk.submit(now, first_page, pages, page_bytes);
+            return on_part(0, disk, outcome);
+        }
+        let mut total = RequestOutcome {
+            completion: 0.0,
+            latency: 0.0,
+            woke_disk: false,
+            idle_before: f64::INFINITY,
+        };
+        let end = first_page + pages;
         let mut run_start = first_page;
-        let mut run_disk = self.disk_of(first_page);
-        let mut run_len = 0u64;
-        for page in first_page..first_page + pages {
-            let d = self.disk_of(page);
-            if d != run_disk {
-                let local = self.to_local(run_start);
-                let out = self.disks[run_disk].submit(now, local, run_len, page_bytes);
-                parts.push((run_disk, out));
-                run_start = page;
-                run_disk = d;
-                run_len = 0;
+        while run_start < end {
+            let d = self.disk_of(run_start);
+            let mut run_end = run_start + 1;
+            while run_end < end && self.disk_of(run_end) == d {
+                run_end += 1;
             }
-            run_len += 1;
+            let local = self.to_local(run_start);
+            let disk = &mut self.disks[d];
+            let outcome = disk.submit(now, local, run_end - run_start, page_bytes);
+            let part = on_part(d, disk, outcome);
+            total.completion = total.completion.max(part.completion);
+            total.woke_disk |= part.woke_disk;
+            total.idle_before = total.idle_before.min(part.idle_before);
+            run_start = run_end;
         }
-        let local = self.to_local(run_start);
-        let out = self.disks[run_disk].submit(now, local, run_len, page_bytes);
-        parts.push((run_disk, out));
-
-        let completion = parts
-            .iter()
-            .map(|(_, o)| o.completion)
-            .fold(0.0f64, f64::max);
-        let woke_disk = parts.iter().any(|(_, o)| o.woke_disk);
-        ArrayOutcome {
-            completion,
-            latency: completion - now,
-            woke_disk,
-            parts,
-        }
+        total.latency = total.completion - now;
+        total
     }
 
     /// Maps a global page to the member disk's local page (for seek
@@ -257,6 +260,35 @@ impl DiskArray {
     pub fn requests(&self) -> u64 {
         self.disks.iter().map(Disk::requests).sum()
     }
+
+    /// Every member's dynamic state, in index order (see
+    /// [`Disk::snapshot_state`]).
+    pub fn snapshot_state(&self) -> serde::Value {
+        serde::Value::Array(self.disks.iter().map(Disk::snapshot_state).collect())
+    }
+
+    /// Restores the state captured by [`DiskArray::snapshot_state`] into
+    /// an array built with the same geometry and models.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `value` is not one disk snapshot per member.
+    pub fn restore_state(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
+        let members = value
+            .as_array()
+            .filter(|members| members.len() == self.disks.len())
+            .ok_or_else(|| {
+                serde::Error::custom(format!(
+                    "expected {} member disk snapshots, got {}",
+                    self.disks.len(),
+                    value.kind()
+                ))
+            })?;
+        for (disk, state) in self.disks.iter_mut().zip(members) {
+            disk.restore_state(state)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -292,42 +324,96 @@ mod tests {
         assert_eq!(a.disk_of(32), 0);
     }
 
+    /// Submits a request, returning the array outcome and each part's
+    /// `(member, completion)` in submission order.
+    fn submit_parts(
+        a: &mut DiskArray,
+        first_page: u64,
+        pages: u64,
+    ) -> (RequestOutcome, Vec<(usize, f64)>) {
+        let mut parts = Vec::new();
+        let out = a.submit(0.0, first_page, pages, 1 << 20, |d, _, part| {
+            parts.push((d, part.completion));
+            part
+        });
+        (out, parts)
+    }
+
     #[test]
     fn partitioned_request_stays_on_one_disk() {
         let mut a = array(4, Layout::Partitioned);
-        let out = a.submit(0.0, 10, 100, 1 << 20);
-        assert_eq!(out.parts.len(), 1);
-        assert_eq!(out.parts[0].0, 0);
+        let (_, parts) = submit_parts(&mut a, 10, 100);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].0, 0);
     }
 
     #[test]
     fn boundary_request_splits() {
         let mut a = array(4, Layout::Partitioned);
-        let out = a.submit(0.0, 250, 12, 1 << 20); // spans disks 0 and 1
-        assert_eq!(out.parts.len(), 2);
-        assert_eq!(out.parts[0].0, 0);
-        assert_eq!(out.parts[1].0, 1);
-        assert_eq!(
-            out.parts[0].1.completion.max(out.parts[1].1.completion),
-            out.completion
-        );
+        let (out, parts) = submit_parts(&mut a, 250, 12); // spans disks 0 and 1
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0].0, 0);
+        assert_eq!(parts[1].0, 1);
+        assert_eq!(parts[0].1.max(parts[1].1), out.completion);
+        assert_eq!(a.requests(), 2);
     }
 
     #[test]
     fn striped_request_fans_out() {
         let mut a = array(4, Layout::Striped { stripe_pages: 2 });
-        let out = a.submit(0.0, 0, 8, 1 << 20); // 4 stripes of 2 pages
-        assert_eq!(out.parts.len(), 4);
-        let disks: Vec<usize> = out.parts.iter().map(|(d, _)| *d).collect();
+        let (_, parts) = submit_parts(&mut a, 0, 8); // 4 stripes of 2 pages
+        let disks: Vec<usize> = parts.iter().map(|&(d, _)| d).collect();
         assert_eq!(disks, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn single_member_passes_requests_through() {
+        // Striping a one-disk array must not split or remap the request.
+        let mut a = array(1, Layout::Striped { stripe_pages: 2 });
+        let mut lone = Disk::new(
+            DiskPowerModel::default(),
+            ServiceModel::scaled_pages(),
+            1024,
+        );
+        let (out, parts) = submit_parts(&mut a, 5, 40);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(out, lone.submit(0.0, 5, 40, 1 << 20));
+    }
+
+    #[test]
+    fn on_part_can_stall_a_member() {
+        let mut a = array(2, Layout::Partitioned);
+        let out = a.submit(0.0, 500, 24, 1 << 20, |d, disk, mut part| {
+            if d == 1 {
+                disk.stall(3.0);
+                part.completion += 3.0;
+            }
+            part
+        });
+        assert!(out.latency >= 3.0);
+        assert!(a.disk(1).busy_secs() >= 3.0);
+        assert!(a.disk(0).busy_secs() < 3.0);
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_member() {
+        let mut a = array(3, Layout::Partitioned);
+        submit_parts(&mut a, 700, 8);
+        let mut b = array(3, Layout::Partitioned);
+        b.restore_state(&a.snapshot_state()).expect("restore");
+        assert_eq!(b.requests(), 1);
+        assert_eq!(b.disk(2).busy_secs(), a.disk(2).busy_secs());
+        assert!(array(2, Layout::Partitioned)
+            .restore_state(&a.snapshot_state())
+            .is_err());
     }
 
     #[test]
     fn striping_parallelism_beats_single_disk_latency() {
         let mut striped = array(4, Layout::Striped { stripe_pages: 2 });
         let mut single = array(1, Layout::Partitioned);
-        let s = striped.submit(0.0, 0, 64, 1 << 20);
-        let o = single.submit(0.0, 0, 64, 1 << 20);
+        let (s, _) = submit_parts(&mut striped, 0, 64);
+        let (o, _) = submit_parts(&mut single, 0, 64);
         assert!(
             s.latency < o.latency,
             "striping must parallelize the transfer ({} vs {})",
@@ -346,7 +432,7 @@ mod tests {
             let mut t = 0.0;
             for i in 0..200u64 {
                 let page = (i * 13) % 200; // pages 0..200: partition 0 only
-                let out = a.submit(t, page, 2, 1 << 20);
+                let out = a.submit(t, page, 2, 1 << 20, |_, _, part| part);
                 t = out.completion + 5.0;
             }
             a.settle(t + 100.0);

@@ -44,7 +44,7 @@ mod service;
 mod spindown;
 
 pub use crate::disk::{Disk, DiskMode, RequestOutcome};
-pub use array::{ArrayOutcome, DiskArray, Layout};
+pub use array::{DiskArray, Layout};
 pub use multispeed::{MultiSpeedDisk, MultiSpeedModel, SpeedLevel, SpeedPolicy};
 pub use oracle::{oracle_idle_energy, timeout_idle_energy};
 pub use power::{DiskEnergy, DiskPowerModel};

@@ -2,21 +2,18 @@
 //! [`FaultPlan`] around the standard simulation pipeline and reports what
 //! was injected, what degraded, and what recovered.
 //!
-//! [`run_instrumented`] is the injector-aware twin of
-//! [`jpmd_sim::run_simulation_source_with`]: identical wiring, plus an
-//! optional [`FaultInjector`] installed into the hardware. With `None` it
-//! produces bit-identical reports (asserted by the `noop` integration
-//! tests). [`run_chaos`] builds the full stack — faulty source, faulty
-//! hardware, faulty policy under a [`DegradationGuard`] — from a plan and
-//! a scale, runs it, and returns a [`ChaosReport`].
+//! [`run_chaos`] builds the full stack — faulty source, faulty hardware
+//! (a [`FaultInjector`] installed through
+//! [`Simulation::fault_injector`]), faulty policy under a
+//! [`DegradationGuard`] — from a plan and a scale, runs it, and returns a
+//! [`ChaosReport`].
 
 use jpmd_core::{JointConfig, JointPolicy, SimScale};
 use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::Telemetry;
 use jpmd_sim::{
-    run_simulation_full, CheckpointOptions, FaultInjector, PeriodController, RunReport,
-    SimCheckpoint, SimConfig, SimOutcome,
+    CheckpointOptions, FaultInjector, RunReport, SimCheckpoint, SimOutcome, Simulation,
 };
 use jpmd_trace::{SourceError, Trace, TraceSource, WorkloadBuilder, GIB, MIB};
 
@@ -31,39 +28,6 @@ use crate::source::{FaultyTraceSource, SourceFaultCounts};
 const SOURCE_STREAM: u64 = 0;
 const HW_STREAM: u64 = 1;
 const POLICY_STREAM: u64 = 2;
-
-/// Like [`jpmd_sim::run_simulation_source_with`], with an optional
-/// [`FaultInjector`] installed into the hardware before replay. The wiring
-/// is otherwise identical — observer stack, span timing, telemetry
-/// lifecycle, report assembly — so with `injector: None` the report is
-/// bit-identical to the uninstrumented entry point.
-///
-/// # Errors
-///
-/// Propagates the first non-transient [`SourceError`] the source yields.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the memory
-/// configuration's, or if `duration` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)] // mirrors run_simulation_source_with + injector
-pub fn run_instrumented<S: TraceSource>(
-    config: &SimConfig,
-    spindown: SpinDownPolicy,
-    controller: &mut dyn PeriodController,
-    source: S,
-    duration: f64,
-    label: &str,
-    telemetry: &Telemetry,
-    injector: Option<Box<dyn FaultInjector>>,
-) -> Result<RunReport, SourceError> {
-    match run_simulation_full(
-        config, spindown, controller, source, duration, label, telemetry, injector, None, None,
-    )? {
-        SimOutcome::Completed(report) => Ok(*report),
-        SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
 
 /// A complete chaos-run recipe: what to inject and at what scale/cadence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,36 +114,14 @@ impl ChaosOutcome {
 /// Runs the joint method under the full fault stack of `chaos.plan`:
 /// the trace source wrapped in a [`FaultyTraceSource`], the hardware
 /// carrying [`HwFaults`], and the joint policy wrapped in a
-/// [`FaultyPolicy`] under a [`DegradationGuard`].
+/// [`FaultyPolicy`] under a [`DegradationGuard`] — with optional
+/// checkpoint capture and resume-from-checkpoint.
 ///
 /// All wrappers fork independent RNG streams from the plan's seed, so the
 /// same plan over the same trace replays the same faults — and with
 /// telemetry attached, the same normalized event stream.
 ///
-/// # Errors
-///
-/// Propagates a [`SourceError`] if the joint configuration is invalid or
-/// the source fails non-transiently.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the scale's, or if the
-/// duration does not exceed the warm-up.
-pub fn run_chaos<S: TraceSource>(
-    chaos: &ChaosConfig,
-    source: S,
-    telemetry: &Telemetry,
-) -> Result<ChaosReport, SourceError> {
-    match run_chaos_checkpointed(chaos, source, telemetry, None, None)? {
-        ChaosOutcome::Completed(report) => Ok(*report),
-        ChaosOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
-
-/// The checkpointable twin of [`run_chaos`]: the same fault stack, with
-/// optional checkpoint capture and resume-from-checkpoint.
-///
-/// Every stateful element of the stack participates in the checkpoint:
+/// Every stateful element of the stack participates in a checkpoint:
 /// the [`DegradationGuard`]'s chain position and streaks, the
 /// [`FaultyPolicy`]'s RNG/window cursor, the wrapped [`JointPolicy`]'s
 /// period counter, and the [`HwFaults`] injector's RNG and ledger. The
@@ -190,8 +132,8 @@ pub fn run_chaos<S: TraceSource>(
 ///
 /// A resumed chaos run must be constructed from the **same**
 /// [`ChaosConfig`] (plan, scale, cadence) and an identical source, exactly
-/// like [`run_simulation_full`]'s resume contract; the completed
-/// [`ChaosReport`] is then bit-identical to the uninterrupted run's.
+/// like [`Simulation::resume`]'s contract; the completed [`ChaosReport`]
+/// is then bit-identical to the uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -203,12 +145,12 @@ pub fn run_chaos<S: TraceSource>(
 ///
 /// Panics if the source's page size differs from the scale's, or if the
 /// duration does not exceed the warm-up.
-pub fn run_chaos_checkpointed<S: TraceSource>(
+pub fn run_chaos<'a, S: TraceSource>(
     chaos: &ChaosConfig,
     source: S,
     telemetry: &Telemetry,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
+    resume: Option<&'a SimCheckpoint>,
+    checkpoints: Option<CheckpointOptions<'a>>,
 ) -> Result<ChaosOutcome, SourceError> {
     let plan = chaos.plan;
     let mut sim = chaos
@@ -238,18 +180,17 @@ pub fn run_chaos_checkpointed<S: TraceSource>(
         Some(Box::new(hw_faults))
     };
 
-    let outcome = run_simulation_full(
+    let outcome = Simulation::new(
         &sim,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut guard,
-        &mut faulty_source,
-        chaos.duration_secs,
         "Chaos-Joint",
-        telemetry,
-        injector,
-        resume,
-        checkpoints,
-    )?;
+    )
+    .telemetry(telemetry)
+    .fault_injector(injector)
+    .resume(resume)
+    .checkpoints(checkpoints)
+    .run(&mut faulty_source, chaos.duration_secs)?;
     let report = match outcome {
         SimOutcome::Completed(report) => *report,
         SimOutcome::Interrupted => return Ok(ChaosOutcome::Interrupted),
@@ -290,13 +231,20 @@ mod tests {
     use super::*;
     use jpmd_obs::ObsEvent;
 
+    fn complete(chaos: &ChaosConfig, trace: &Trace, telemetry: &Telemetry) -> ChaosReport {
+        run_chaos(chaos, trace.source(), telemetry, None, None)
+            .expect("chaos run")
+            .into_report()
+            .expect("no checkpoint policy was installed")
+    }
+
     #[test]
     fn chaos_run_degrades_recovers_and_honors_the_delay_bound() {
         let chaos = ChaosConfig::small_test(1);
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
         let sink = jpmd_obs::MemorySink::new();
         let telemetry = Telemetry::new(Box::new(sink.clone()));
-        let out = run_chaos(&chaos, trace.source(), &telemetry).expect("chaos run completes");
+        let out = complete(&chaos, &trace, &telemetry);
 
         // The injected policy-failure burst forced at least one retreat…
         assert!(out.guard.fallbacks >= 1, "guard: {:?}", out.guard);
@@ -343,13 +291,13 @@ mod tests {
         let chaos = ChaosConfig::small_test(7);
         let run = || {
             let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-            run_chaos(&chaos, trace.source(), &Telemetry::disabled()).expect("chaos run")
+            complete(&chaos, &trace, &Telemetry::disabled())
         };
         assert_eq!(run(), run());
 
         let other = ChaosConfig::small_test(8);
         let trace = chaos_trace(&other.scale, other.duration_secs, 42);
-        let b = run_chaos(&other, trace.source(), &Telemetry::disabled()).expect("chaos run");
+        let b = complete(&other, &trace, &Telemetry::disabled());
         assert_ne!(
             run().hw_faults,
             b.hw_faults,
@@ -366,7 +314,7 @@ mod tests {
             ..ChaosConfig::small_test(0)
         };
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-        let out = run_chaos(&chaos, trace.source(), &Telemetry::disabled()).expect("chaos run");
+        let out = complete(&chaos, &trace, &Telemetry::disabled());
         assert_eq!(out.source_faults.total(), 0);
         assert_eq!(out.hw_faults, HwFaultCounts::default());
         assert_eq!(out.injected_policy_faults, 0);

@@ -154,8 +154,8 @@ impl<P: FalliblePolicy> FalliblePolicy for FaultyPolicy<P> {
             // Fail the decision but keep the inner policy's fallback: the
             // injected fault changes *control flow*, not the safe action.
             let fallback = match &result {
-                Ok(action) => *action,
-                Err(failure) => failure.fallback,
+                Ok(action) => action.clone(),
+                Err(failure) => failure.fallback.clone(),
             };
             self.injected += 1;
             return Err(PolicyFailure {
@@ -364,10 +364,12 @@ impl<P: FalliblePolicy> DegradationGuard<P> {
             FallbackLevel::PowerDown => ControlAction {
                 enabled_banks: Some(self.config.full_banks),
                 disk_timeout: Some(self.config.powerdown_timeout_secs),
+                disk_timeouts: Vec::new(),
             },
             FallbackLevel::AlwaysOn => ControlAction {
                 enabled_banks: Some(self.config.full_banks),
                 disk_timeout: Some(f64::INFINITY),
+                disk_timeouts: Vec::new(),
             },
         }
     }
@@ -607,6 +609,7 @@ mod tests {
                 Ok(ControlAction {
                     enabled_banks: Some(2),
                     disk_timeout: Some(10.0),
+                    disk_timeouts: Vec::new(),
                 })
             }
         }

@@ -30,8 +30,10 @@
 //!   fault sequences and produce byte-identical normalized telemetry
 //!   (the chaos determinism tests in `jpmd-obs`).
 //!
-//! [`run_chaos`] assembles the whole stack from a [`ChaosConfig`]; the
-//! `chaos` binary in `jpmd-bench` and the CI smoke drive it.
+//! [`run_chaos`] assembles the whole stack from a [`ChaosConfig`] through
+//! the [`jpmd_sim::Simulation`] builder every run uses — so a chaos run
+//! checkpoints and resumes like any other; the `chaos` binary in
+//! `jpmd-bench` and the CI smoke drive it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +47,7 @@ mod rng;
 mod source;
 mod storage;
 
-pub use chaos::{
-    chaos_trace, run_chaos, run_chaos_checkpointed, run_instrumented, ChaosConfig, ChaosOutcome,
-    ChaosReport,
-};
+pub use chaos::{chaos_trace, run_chaos, ChaosConfig, ChaosOutcome, ChaosReport};
 pub use guard::{
     DegradationGuard, FallbackLevel, FalliblePolicy, FaultyPolicy, GuardConfig, GuardStats,
 };

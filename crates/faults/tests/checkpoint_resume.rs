@@ -4,9 +4,7 @@
 //! all. This is the hardest resume case, because every wrapper carries
 //! hidden state (RNG streams, fault windows, the guard's backoff).
 
-use jpmd_faults::{
-    chaos_trace, run_chaos, run_chaos_checkpointed, ChaosConfig, ChaosOutcome, ChaosReport,
-};
+use jpmd_faults::{chaos_trace, run_chaos, ChaosConfig, ChaosOutcome, ChaosReport};
 use jpmd_obs::Telemetry;
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, RunReport, SimCheckpoint};
 
@@ -17,7 +15,7 @@ fn interrupted_checkpoint(chaos: &ChaosConfig, stop_after: usize) -> SimCheckpoi
         captured.push(ckpt);
         captured.len() < stop_after
     };
-    let outcome = run_chaos_checkpointed(
+    let outcome = run_chaos(
         chaos,
         trace.source(),
         &Telemetry::disabled(),
@@ -45,7 +43,7 @@ fn report_digest(report: &RunReport) -> u32 {
 
 fn resume(chaos: &ChaosConfig, ckpt: &SimCheckpoint) -> ChaosReport {
     let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-    run_chaos_checkpointed(
+    run_chaos(
         chaos,
         trace.source(),
         &Telemetry::disabled(),
@@ -61,8 +59,10 @@ fn resume(chaos: &ChaosConfig, ckpt: &SimCheckpoint) -> ChaosReport {
 fn resumed_chaos_run_matches_uninterrupted() {
     let chaos = ChaosConfig::small_test(1);
     let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-    let baseline =
-        run_chaos(&chaos, trace.source(), &Telemetry::disabled()).expect("baseline chaos run");
+    let baseline = run_chaos(&chaos, trace.source(), &Telemetry::disabled(), None, None)
+        .expect("baseline chaos run")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     // The baseline run exercises the whole stack: injected faults at every
     // seam, at least one retreat, and a recovery.
     assert!(baseline.guard.fallbacks >= 1);
@@ -85,8 +85,10 @@ fn resumed_chaos_run_matches_uninterrupted() {
 fn resume_point_does_not_change_the_outcome() {
     let chaos = ChaosConfig::small_test(3);
     let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
-    let baseline =
-        run_chaos(&chaos, trace.source(), &Telemetry::disabled()).expect("baseline chaos run");
+    let baseline = run_chaos(&chaos, trace.source(), &Telemetry::disabled(), None, None)
+        .expect("baseline chaos run")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     for stop_after in [1, 7] {
         let ckpt = interrupted_checkpoint(&chaos, stop_after);
         let resumed = resume(&chaos, &ckpt);

@@ -41,6 +41,7 @@ impl FalliblePolicy for RandomlyFailing {
             Ok(ControlAction {
                 enabled_banks: Some(1 + self.rng.below(u64::from(FULL_BANKS)) as u32),
                 disk_timeout: Some(1.0 + self.rng.next_f64() * 20.0),
+                disk_timeouts: Vec::new(),
             })
         }
     }

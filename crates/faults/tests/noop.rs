@@ -1,15 +1,14 @@
 //! The harness's first invariant: **disabled injection is invisible**.
 //!
-//! A [`FaultyTraceSource`] built from a noop plan, and the injector-aware
-//! replay entry point run without an injector, must produce reports
-//! bit-identical to the unwrapped pipeline — for the baseline, a static
-//! method, and the joint method. (Report equality already excludes
+//! A [`FaultyTraceSource`] built from a noop plan, and a noop hardware
+//! injector, must produce reports bit-identical to the unwrapped pipeline
+//! — for the baseline, a static method, and the joint method. (Report equality already excludes
 //! wall-clock fields, so `==` is exactly bit-identity on the simulation
 //! outcome.)
 
 use jpmd_core::methods::{self, MethodSpec};
-use jpmd_core::{JointPolicy, SimScale};
-use jpmd_faults::{run_instrumented, FaultPlan, FaultRng, FaultyTraceSource};
+use jpmd_core::SimScale;
+use jpmd_faults::{FaultPlan, FaultRng, FaultyTraceSource};
 use jpmd_obs::Telemetry;
 use jpmd_trace::{Trace, WorkloadBuilder, GIB, MIB};
 
@@ -58,40 +57,6 @@ fn disabled_source_wrapper_leaves_every_method_bit_identical() {
 }
 
 #[test]
-fn run_instrumented_without_injector_matches_the_plain_entry_point() {
-    let scale = SimScale::small_test();
-    let trace = trace(&scale);
-    let spec = methods::joint(&scale);
-    let plain = methods::run_method_source(&spec, &scale, trace.source(), WARMUP, DURATION, PERIOD)
-        .expect("in-memory trace source");
-
-    // Rebuild exactly what run_method_source wires for the joint method,
-    // through the injector-aware entry point with no injector.
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = WARMUP;
-    sim.period_secs = PERIOD;
-    let mut cfg = spec.joint.expect("joint method carries a config");
-    cfg.period_secs = PERIOD;
-    let mut controller =
-        JointPolicy::try_with_telemetry(cfg, Telemetry::disabled()).expect("valid config");
-    let instrumented = run_instrumented(
-        &sim,
-        spec.spindown.clone(),
-        &mut controller,
-        trace.source(),
-        DURATION,
-        &spec.label,
-        &Telemetry::disabled(),
-        None,
-    )
-    .expect("in-memory trace source");
-    assert_eq!(
-        plain, instrumented,
-        "injector-less run_instrumented diverged from run_simulation_source_with"
-    );
-}
-
-#[test]
 fn noop_hw_injector_is_also_invisible() {
     // Even an *installed* injector whose plan is noop must not perturb
     // the run: zero-probability draws consume no randomness and inject
@@ -102,26 +67,15 @@ fn noop_hw_injector_is_also_invisible() {
     let plain = methods::run_method_source(&spec, &scale, trace.source(), WARMUP, DURATION, PERIOD)
         .expect("in-memory trace source");
 
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = WARMUP;
-    sim.period_secs = PERIOD;
-    let mut cfg = spec.joint.expect("joint method carries a config");
-    cfg.period_secs = PERIOD;
-    let mut controller =
-        JointPolicy::try_with_telemetry(cfg, Telemetry::disabled()).expect("valid config");
     let plan = FaultPlan::disabled();
     let (injector, counts) = jpmd_faults::HwFaults::new(plan.disk, plan.banks, FaultRng::new(0));
-    let faulted = run_instrumented(
-        &sim,
-        spec.spindown.clone(),
-        &mut controller,
-        trace.source(),
-        DURATION,
-        &spec.label,
-        &Telemetry::disabled(),
-        Some(Box::new(injector)),
-    )
-    .expect("in-memory trace source");
+    let faulted = methods::simulation(&spec, &scale, WARMUP, PERIOD, &Telemetry::disabled())
+        .expect("valid config")
+        .fault_injector(Some(Box::new(injector)))
+        .run(trace.source(), DURATION)
+        .expect("in-memory trace source")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     assert_eq!(plain, faulted, "noop injector changed the outcome");
     assert_eq!(counts.lock().unwrap().total(), 0);
 }

@@ -39,7 +39,9 @@ use jpmd_core::{
 use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::{CandidatePower, JsonlSink, Telemetry, WalPolicy};
-use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
+use jpmd_sim::{
+    CheckpointOptions, CheckpointPolicy, PeriodController, SimCheckpoint, SimOutcome, Simulation,
+};
 use jpmd_trace::Trace;
 
 use crate::{partition, FleetReport, Partitioner};
@@ -202,6 +204,25 @@ fn collect_shard_results<R>(
     Ok(out)
 }
 
+/// A shard's run of a fleet controller: the joint method's memory
+/// configuration (Nap, global LRU) with the shard's bank share enabled at
+/// start and a controller-owned disk timeout.
+fn shard_simulation<'a, C: PeriodController>(
+    cfg: &FleetConfig,
+    label: &str,
+    controller: C,
+) -> Simulation<'a, C> {
+    let mut sim = cfg.scale.sim_config(IdlePolicy::Nap, cfg.per_shard_banks());
+    sim.warmup_secs = cfg.warmup_secs;
+    sim.period_secs = cfg.period_secs;
+    Simulation::new(
+        &sim,
+        SpinDownPolicy::controlled(f64::INFINITY),
+        controller,
+        label,
+    )
+}
+
 /// Pass 1: run every shard with a bidding joint policy (telemetry off, no
 /// checkpoints) and return its recorded per-period bids.
 fn bidding_pass(
@@ -218,21 +239,9 @@ fn bidding_pass(
         let policy = JointPolicy::try_with_telemetry(jcfg, Telemetry::disabled())
             .map_err(|e| e.to_string())?;
         let mut bidder = BiddingJointPolicy::new(policy);
-        methods::run_controller_checkpointed(
-            &format!("fleet-bid-{shard}"),
-            &cfg.scale,
-            SpinDownPolicy::controlled(f64::INFINITY),
-            cfg.per_shard_banks(),
-            &mut bidder,
-            trace.source(),
-            cfg.warmup_secs,
-            cfg.duration_secs,
-            cfg.period_secs,
-            &Telemetry::disabled(),
-            None,
-            None,
-        )
-        .map_err(|e| e.to_string())?;
+        shard_simulation(cfg, &format!("fleet-bid-{shard}"), &mut bidder)
+            .run(trace.source(), cfg.duration_secs)
+            .map_err(|e| e.to_string())?;
         Ok::<_, String>(bidder.into_bids())
     });
     collect_shard_results(results)
@@ -331,33 +340,25 @@ fn run_shard(cfg: &FleetConfig, mode: FleetMode, task: &ShardTask) -> Result<Sim
     });
 
     let outcome = match mode {
-        FleetMode::PerShardGreedy => methods::run_method_checkpointed(
+        FleetMode::PerShardGreedy => methods::simulation(
             &greedy_spec(&cfg.scale, cfg.per_shard_banks()),
             &cfg.scale,
-            task.trace.source(),
             cfg.warmup_secs,
-            cfg.duration_secs,
             cfg.period_secs,
             &telemetry,
-            resume.as_ref(),
-            checkpoints,
-        ),
+        )
+        .and_then(|sim| {
+            sim.resume(resume.as_ref())
+                .checkpoints(checkpoints)
+                .run(task.trace.source(), cfg.duration_secs)
+        }),
         FleetMode::Coordinated => {
             let mut controller = PlannedController::new(task.plan.clone().unwrap_or_default());
-            methods::run_controller_checkpointed(
-                &format!("fleet-{}", task.shard),
-                &cfg.scale,
-                SpinDownPolicy::controlled(f64::INFINITY),
-                cfg.per_shard_banks(),
-                &mut controller,
-                task.trace.source(),
-                cfg.warmup_secs,
-                cfg.duration_secs,
-                cfg.period_secs,
-                &telemetry,
-                resume.as_ref(),
-                checkpoints,
-            )
+            shard_simulation(cfg, &format!("fleet-{}", task.shard), &mut controller)
+                .telemetry(&telemetry)
+                .resume(resume.as_ref())
+                .checkpoints(checkpoints)
+                .run(task.trace.source(), cfg.duration_secs)
         }
     }
     .map_err(|e| e.to_string())?;

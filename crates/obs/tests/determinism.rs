@@ -36,16 +36,11 @@ fn capture(
 ) -> (Vec<ObsRecord>, jpmd_sim::RunReport) {
     let sink = MemorySink::new();
     let telemetry = Telemetry::new(Box::new(sink.clone()));
-    let report = methods::run_method_source_with(
-        spec,
-        scale,
-        trace.source(),
-        WARMUP,
-        DURATION,
-        PERIOD,
-        &telemetry,
-    )
-    .expect("in-memory trace source");
+    let report = methods::simulation(spec, scale, WARMUP, PERIOD, &telemetry)
+        .and_then(|sim| sim.run(trace.source(), DURATION))
+        .expect("in-memory trace source")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     (sink.records(), report)
 }
 
@@ -86,16 +81,11 @@ fn telemetry_does_not_perturb_the_report() {
             spec.label
         );
         let null = Telemetry::new(Box::new(NullSink));
-        let nulled = methods::run_method_source_with(
-            &spec,
-            &scale,
-            trace.source(),
-            WARMUP,
-            DURATION,
-            PERIOD,
-            &null,
-        )
-        .expect("in-memory trace source");
+        let nulled = methods::simulation(&spec, &scale, WARMUP, PERIOD, &null)
+            .and_then(|sim| sim.run(trace.source(), DURATION))
+            .expect("in-memory trace source")
+            .into_report()
+            .expect("no checkpoint policy was installed");
         assert_eq!(
             plain, nulled,
             "{}: null sink changed the outcome",
@@ -164,16 +154,11 @@ fn wall_clock_appears_only_with_an_injected_clock() {
 
     let sink = MemorySink::new();
     let telemetry = Telemetry::with_clock(Box::new(sink.clone()), Box::new(|| 1234));
-    methods::run_method_source_with(
-        &spec,
-        &scale,
-        trace.source(),
-        WARMUP,
-        DURATION,
-        PERIOD,
-        &telemetry,
-    )
-    .expect("in-memory trace source");
+    methods::simulation(&spec, &scale, WARMUP, PERIOD, &telemetry)
+        .and_then(|sim| sim.run(trace.source(), DURATION))
+        .expect("in-memory trace source")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     let stamped = sink.records();
     assert!(!stamped.is_empty());
     assert!(stamped.iter().all(|r| r.t_wall_ms == Some(1234)));
@@ -199,7 +184,10 @@ fn chaos_telemetry_is_byte_identical_for_equal_fault_plans() {
         let trace = chaos_trace(&chaos.scale, chaos.duration_secs, 42);
         let sink = MemorySink::new();
         let telemetry = Telemetry::new(Box::new(sink.clone()));
-        let out = run_chaos(&chaos, trace.source(), &telemetry).expect("chaos run completes");
+        let out = run_chaos(&chaos, trace.source(), &telemetry, None, None)
+            .expect("chaos run completes")
+            .into_report()
+            .expect("no checkpoint policy was installed");
         let lines: Vec<String> = sink
             .records()
             .iter()

@@ -61,10 +61,10 @@ use jpmd_ckpt::{
     load_checkpoint, load_tenant_manifest, save_tenant_manifest, CkptMeta, FileCheckpointer,
     TenantEntry, TenantManifest,
 };
-use jpmd_core::PolicyStepper;
 use jpmd_faults::FallbackLevel;
 use jpmd_obs::{labeled, Counter, Gauge, JsonlSink, MetricsRegistry, Telemetry, WalPolicy};
-use jpmd_trace::TraceRecord;
+use jpmd_sim::PolicyStepper;
+use jpmd_trace::{check_record, TraceError, TraceRecord};
 
 use crate::proto::{parse_request, QueryKind, Request};
 use crate::tenant::{build_stepper, TenantController};
@@ -100,6 +100,8 @@ const MIDLINE_IDLE_LIMIT: u32 = 25;
 /// a decision in progress.
 struct TenantHandle {
     name: String,
+    /// The tenant's page space: fed records must lie inside it.
+    pages: u64,
     /// Records accepted but not yet stepped.
     queue: Mutex<VecDeque<TraceRecord>>,
     /// True while the handle sits in the worker channel or a worker is
@@ -182,6 +184,10 @@ enum FeedSlot {
         /// The seq the client sent.
         got: u64,
     },
+    /// A record outside the trace invariants (no pages, or pages past
+    /// the tenant's page space); refused before it touches the queue or
+    /// the watermark.
+    Invalid(TraceError),
     /// Unknown tenant, shutdown, or a seal race — fire-and-forget drop.
     Dropped,
 }
@@ -458,6 +464,7 @@ impl ServerState {
             self.tenant_metrics(name);
         Arc::new(TenantHandle {
             name: name.to_string(),
+            pages,
             queue: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
@@ -482,7 +489,8 @@ impl ServerState {
 
     /// The `FEED` fast path: enqueue, bump the backlog, wake a worker.
     /// Records for unknown tenants (or after shutdown began) are
-    /// dropped. A sequenced feed is judged against the tenant's ack
+    /// dropped; records outside the trace invariants are refused. A
+    /// sequenced feed is judged against the tenant's ack
     /// watermark — the dedup/gap decision, the watermark advance, and
     /// the push all happen under the queue lock, so an acknowledged seq
     /// always has its record either queued or applied, never dropped by
@@ -494,6 +502,12 @@ impl ServerState {
         let Some(handle) = self.lookup(name) else {
             return FeedSlot::Dropped;
         };
+        // The shared ingestion check, with no ordering constraint: the
+        // engine clamps out-of-order arrivals itself. The seq (0 when
+        // unsequenced) names the record in the error.
+        if let Err(e) = check_record(&record, f64::NEG_INFINITY, handle.pages, seq.unwrap_or(0)) {
+            return FeedSlot::Invalid(e);
+        }
         // Count the record *before* it becomes visible in the queue:
         // the queue mutex then guarantees that any worker draining it
         // observes this increment first, so the drain's decrement can
@@ -822,6 +836,7 @@ fn execute(state: &Arc<ServerState>, request: Request) -> Option<String> {
             FeedSlot::Accepted { ack: Some(seq) } => Some(format!("ACK {seq}")),
             FeedSlot::Accepted { ack: None } | FeedSlot::Duplicate | FeedSlot::Dropped => None,
             FeedSlot::Gap { want, got } => Some(format!("ERR feed seq gap: want {want} got {got}")),
+            FeedSlot::Invalid(e) => Some(format!("ERR feed {e}")),
         },
         Request::Open { tenant, pages } => Some(state.open_or_attach(&tenant, pages, false)),
         Request::Attach { tenant, pages } => Some(state.open_or_attach(&tenant, pages, true)),

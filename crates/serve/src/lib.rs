@@ -5,7 +5,7 @@
 //! end. This crate turns the same stack into a **service**: a daemon
 //! that accepts streamed access records for many concurrent tenants
 //! over a line-based TCP protocol, runs each tenant's joint policy
-//! incrementally ([`jpmd_core::PolicyStepper`] — bit-identical to the
+//! incrementally ([`jpmd_sim::PolicyStepper`] — bit-identical to the
 //! batch loop), and answers control queries (current disk timeout,
 //! bank count, predicted miss curve, energy so far) with bounded
 //! latency while the streams keep flowing.

@@ -12,7 +12,9 @@
 //! `ACK <seq>` lines every `ack_every` accepted records. `OPEN` and
 //! `ATTACH` answer with the watermark, so a reconnecting client knows
 //! exactly which buffered records to replay. Unsequenced `FEED` (the
-//! pre-seq form, still accepted) remains fire-and-forget. Clients that
+//! pre-seq form, still accepted) remains fire-and-forget. Either form
+//! answers `ERR` for a record with no pages or pages outside the
+//! tenant's page space, which is never applied. Clients that
 //! want flow control interleave `PING`, which answers with the daemon's
 //! current global backlog so a closed-loop sender can pace itself.
 //!

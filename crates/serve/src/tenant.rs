@@ -16,11 +16,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use jpmd_core::{JointConfig, JointPolicy, PolicyError, PolicyFailure, PolicyStepper, SimScale};
+use jpmd_core::{JointConfig, JointPolicy, PolicyError, PolicyFailure, SimScale};
 use jpmd_faults::{DegradationGuard, FalliblePolicy, GuardConfig};
 use jpmd_mem::{AccessLog, IdlePolicy};
 use jpmd_obs::Telemetry;
-use jpmd_sim::{ControlAction, PeriodObservation, SimCheckpoint, SpinDownPolicy};
+use jpmd_sim::{
+    ControlAction, PeriodObservation, PolicyStepper, SimCheckpoint, Simulation, SpinDownPolicy,
+};
 use jpmd_trace::SourceError;
 
 use crate::ServeConfig;
@@ -108,16 +110,10 @@ pub fn build_stepper(
         GuardConfig::from_joint(&joint_cfg),
         telemetry.clone(),
     );
-    PolicyStepper::new(
-        sim,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        guard,
-        pages,
-        cfg.duration_secs,
-        name,
-        telemetry,
-        resume,
-    )
+    Simulation::new(&sim, SpinDownPolicy::controlled(f64::INFINITY), guard, name)
+        .telemetry(telemetry)
+        .resume(resume)
+        .start(pages, cfg.duration_secs)
 }
 
 /// The simulation configuration every tenant runs: the joint method's
@@ -134,7 +130,7 @@ fn tenant_sim_config(scale: &SimScale, period_secs: f64) -> jpmd_sim::SimConfig 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jpmd_core::FeedOutcome;
+    use jpmd_sim::FeedOutcome;
     use jpmd_trace::{TraceSource, WorkloadBuilder, MIB};
 
     fn test_config() -> ServeConfig {

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use jpmd_obs::ObsRecord;
 use jpmd_serve::{Daemon, ServeConfig};
-use jpmd_trace::{TraceRecord, TraceSource, WorkloadBuilder, MIB};
+use jpmd_trace::{Trace, TraceRecord, TraceSource, WorkloadBuilder, MIB};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jpmd-serve-it-{}-{name}", std::process::id()));
@@ -17,20 +17,30 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn workload(seed: u64, duration_secs: f64) -> Vec<TraceRecord> {
-    let trace = WorkloadBuilder::new()
+fn trace(seed: u64, duration_secs: f64) -> Trace {
+    WorkloadBuilder::new()
         .data_set_bytes(256 * MIB)
         .rate_bytes_per_sec(2 * MIB)
         .duration_secs(duration_secs)
         .seed(seed)
         .build()
-        .expect("workload");
+        .expect("workload")
+}
+
+fn workload(seed: u64, duration_secs: f64) -> Vec<TraceRecord> {
+    let trace = trace(seed, duration_secs);
     let mut source = trace.source();
     let mut out = Vec::new();
     while let Some(next) = source.next_record() {
         out.push(next.expect("in-memory sources cannot fail"));
     }
     out
+}
+
+/// The `OPEN` line for a tenant fed `workload(seed, _)`: its page space
+/// (per-file rounding puts it a few pages past the data set's 256).
+fn open(tenant: &str, seed: u64) -> String {
+    format!("OPEN {tenant} {}", trace(seed, 60.0).total_pages())
 }
 
 struct Client {
@@ -175,7 +185,7 @@ fn metrics_endpoint_serves_valid_prometheus_with_tenant_labels() {
 
     let mut client = Client::connect(addr);
     for (tenant, seed) in [("alpha", 21u64), ("beta", 22)] {
-        assert!(client.ask(&format!("OPEN {tenant} 256")).starts_with("OK"));
+        assert!(client.ask(&open(tenant, seed)).starts_with("OK"));
         for record in workload(seed, 1800.0) {
             client.feed(tenant, &record);
         }
@@ -220,8 +230,8 @@ fn two_runs_of_the_same_script_write_identical_normalized_wals() {
         let dir = scratch_dir(tag);
         let daemon = Daemon::start(base_config(&dir)).expect("start daemon");
         let mut client = Client::connect(daemon.addr());
-        for tenant in ["t0", "t1", "t2"] {
-            assert!(client.ask(&format!("OPEN {tenant} 256")).starts_with("OK"));
+        for (tenant, seed) in [("t0", 31), ("t1", 32), ("t2", 33)] {
+            assert!(client.ask(&open(tenant, seed)).starts_with("OK"));
         }
         // Interleave tenants record by record — worker scheduling must
         // not leak into any tenant's event stream.
@@ -268,7 +278,7 @@ fn shutdown_seals_and_restart_resumes_gap_free() {
     let (ref_wal, ref_answers) = {
         let daemon = Daemon::start(base_config(&ref_dir)).expect("start daemon");
         let mut client = Client::connect(daemon.addr());
-        assert!(client.ask("OPEN t0 256").starts_with("OK"));
+        assert!(client.ask(&open("t0", 41)).starts_with("OK"));
         for record in &records {
             client.feed("t0", record);
         }
@@ -288,7 +298,7 @@ fn shutdown_seals_and_restart_resumes_gap_free() {
     {
         let daemon = Daemon::start(base_config(&dir)).expect("start daemon");
         let mut client = Client::connect(daemon.addr());
-        assert!(client.ask("OPEN t0 256").starts_with("OK"));
+        assert!(client.ask(&open("t0", 41)).starts_with("OK"));
         for record in &records[..half] {
             client.feed("t0", record);
         }
@@ -339,7 +349,7 @@ fn close_while_shedding_clears_overload_and_reopens_admission() {
     cfg.shed_low = 16;
     let daemon = Daemon::start(cfg).expect("start daemon");
     let mut client = Client::connect(daemon.addr());
-    assert!(client.ask("OPEN hog 256").starts_with("OK"));
+    assert!(client.ask(&open("hog", 61)).starts_with("OK"));
 
     // Flood the single tenant past the shed watermark.
     let records = workload(61, 120_000.0);
@@ -391,7 +401,7 @@ fn overload_sheds_rejects_admissions_and_recovers() {
     cfg.shed_low = 16;
     let daemon = Daemon::start(cfg).expect("start daemon");
     let mut client = Client::connect(daemon.addr());
-    assert!(client.ask("OPEN hog 256").starts_with("OK"));
+    assert!(client.ask(&open("hog", 51)).starts_with("OK"));
 
     // Phase 1: flood — hundreds of periods' worth of records in one
     // burst. The synthetic workload yields roughly one record per 16
@@ -496,7 +506,7 @@ fn wal_outage_degrades_telemetry_not_tenants() {
     let daemon = Daemon::start(cfg).expect("start daemon");
     let addr = daemon.addr();
     let mut client = Client::connect(addr);
-    assert!(client.ask("OPEN alpha 256").starts_with("OK"));
+    assert!(client.ask(&open("alpha", 77)).starts_with("OK"));
 
     let records = workload(77, 36_000.0);
     let mut saw_degraded = false;
@@ -615,6 +625,45 @@ fn oversized_request_line_gets_typed_error_and_close() {
         "oversized line not counted as a drop: {stats}"
     );
     assert!(fresh.ask("SHUTDOWN").starts_with("OK"));
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn feed_outside_the_tenant_page_space_is_refused() {
+    let dir = scratch_dir("feed-range");
+    let daemon = Daemon::start(base_config(&dir)).expect("start daemon");
+    let mut client = Client::connect(daemon.addr());
+    assert!(client.ask("OPEN t 64").starts_with("OK"));
+    // The last four pages of the tenant's space are fine.
+    writeln!(client.writer, "FEED t 1 1.0 0 60 4 r").expect("feed");
+    assert_eq!(client.ask("QUERY t acked"), "OK acked 1");
+    client.wait_drained();
+    let records = stat_field(&client.ask("STATS"), "records");
+
+    // One page past the space: refused before the seq advances the
+    // watermark, and never applied. The barrier query answers second.
+    writeln!(client.writer, "FEED t 2 2.0 0 61 4 r").expect("feed");
+    let reply = client.ask("QUERY t acked");
+    assert!(reply.starts_with("ERR feed"), "{reply}");
+    assert!(reply.contains("total_pages"), "{reply}");
+    let mut barrier = String::new();
+    client.reader.read_line(&mut barrier).expect("barrier");
+    assert_eq!(barrier.trim_end(), "OK acked 1");
+    client.wait_drained();
+    assert_eq!(stat_field(&client.ask("STATS"), "records"), records);
+
+    // A page range that overflows u64 is refused the same way…
+    let reply = client.ask("FEED t 2 3.0 0 18446744073709551000 1000 r");
+    assert!(reply.starts_with("ERR feed"), "{reply}");
+    // …and the tenant keeps serving at the unchanged watermark.
+    writeln!(client.writer, "FEED t 2 3.0 0 0 2 r").expect("feed");
+    assert_eq!(client.ask("QUERY t acked"), "OK acked 2");
+    client.wait_drained();
+    assert_eq!(stat_field(&client.ask("STATS"), "records"), records + 1);
+    assert!(client.ask("QUERY t status").starts_with("OK"));
+
+    assert!(client.ask("SHUTDOWN").starts_with("OK"));
     daemon.join().expect("join");
     let _ = std::fs::remove_dir_all(&dir);
 }

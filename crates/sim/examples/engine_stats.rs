@@ -1,6 +1,6 @@
 //! Prints the engine counters and per-period event log for a small run.
 use jpmd_mem::{IdlePolicy, MemConfig, RdramModel};
-use jpmd_sim::{run_simulation, NullController, SimConfig, SpinDownPolicy};
+use jpmd_sim::{NullController, SimConfig, Simulation, SpinDownPolicy};
 use jpmd_trace::{WorkloadBuilder, GIB, MIB};
 
 fn main() {
@@ -23,13 +23,10 @@ fn main() {
     cfg.period_secs = 300.0;
     cfg.warmup_secs = 300.0;
     cfg.sync_interval_secs = 60.0;
-    let report = run_simulation(
-        &cfg,
-        SpinDownPolicy::AlwaysOn,
-        &mut NullController,
-        &trace,
-        1200.0,
-        "example",
-    );
+    let report = Simulation::new(&cfg, SpinDownPolicy::AlwaysOn, NullController, "example")
+        .run(trace.source(), 1200.0)
+        .expect("in-memory trace sources cannot fail")
+        .into_report()
+        .expect("no checkpoint policy was installed");
     println!("{:#?}", report.engine);
 }

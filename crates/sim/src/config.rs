@@ -1,7 +1,28 @@
 use serde::{Deserialize, Serialize};
 
-use jpmd_disk::{DiskPowerModel, ServiceModel};
+use jpmd_disk::{DiskPowerModel, Layout, ServiceModel};
 use jpmd_mem::{MemConfig, Replacement};
+
+/// Geometry of the disks behind the cache: `disks` identical members,
+/// each with its own copy of the run's spin-down policy, holding the page
+/// space per `layout`. The default — one partitioned disk — is the
+/// paper's single-disk system.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ArrayConfig {
+    /// Number of member disks (≥ 1).
+    pub disks: usize,
+    /// Data layout across members.
+    pub layout: Layout,
+}
+
+impl Default for ArrayConfig {
+    fn default() -> Self {
+        ArrayConfig {
+            disks: 1,
+            layout: Layout::Partitioned,
+        }
+    }
+}
 
 /// Configuration of one system simulation (memory + disk + timing).
 ///
@@ -37,6 +58,10 @@ pub struct SimConfig {
     /// evicted or at each sync tick. `f64::INFINITY` disables the daemon
     /// (the default; the paper's SPECWeb99 workloads are read-dominated).
     pub sync_interval_secs: f64,
+    /// The disks behind the cache (default: one disk; more members model
+    /// the paper's §VI multi-disk extension).
+    #[serde(default)]
+    pub array: ArrayConfig,
 }
 
 impl SimConfig {
@@ -54,6 +79,7 @@ impl SimConfig {
             replacement: Replacement::default(),
             consolidate: false,
             sync_interval_secs: f64::INFINITY,
+            array: ArrayConfig::default(),
         }
     }
 
@@ -61,8 +87,8 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the period or threshold is not positive, or the window
-    /// is negative.
+    /// Panics when the period or threshold is not positive, the window is
+    /// negative, or the array has no disk.
     pub fn validate(&self) {
         assert!(self.period_secs > 0.0, "period must be positive");
         assert!(
@@ -78,6 +104,7 @@ impl SimConfig {
             self.sync_interval_secs > 0.0,
             "sync interval must be positive (INFINITY disables it)"
         );
+        assert!(self.array.disks >= 1, "array needs at least one disk");
     }
 }
 
@@ -103,6 +130,15 @@ mod tests {
         assert_eq!(c.period_secs, 600.0);
         assert_eq!(c.long_latency_secs, 0.5);
         assert_eq!(c.aggregation_window_secs, 0.1);
+        assert_eq!(c.array, ArrayConfig::default());
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one disk")]
+    fn empty_array_rejected() {
+        let mut c = SimConfig::with_mem(mem());
+        c.array.disks = 0;
         c.validate();
     }
 

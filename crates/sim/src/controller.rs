@@ -16,9 +16,11 @@ pub struct PeriodObservation {
     pub cache_accesses: u64,
     /// Disk accesses (cache misses, in pages) during the period (`n_d`).
     pub disk_page_accesses: u64,
-    /// Disk requests (contiguous runs) issued during the period.
+    /// Disk requests (contiguous runs) issued during the period; on an
+    /// array each member's sub-request counts once.
     pub disk_requests: u64,
-    /// Seconds the disk spent serving during the period.
+    /// Seconds the disk spent serving during the period (summed over
+    /// member disks).
     pub disk_busy_secs: f64,
     /// Idle intervals of the *actual* disk request stream, aggregated with
     /// window `w` (count = `n_i`, plus mean/min/max).
@@ -30,7 +32,8 @@ pub struct PeriodObservation {
     pub delayed_page_accesses: u64,
     /// Banks enabled during (the end of) the period.
     pub enabled_banks: u32,
-    /// Disk timeout in force at the end of the period, s.
+    /// Disk timeout in force at the end of the period (the first member's
+    /// on an array), s.
     pub disk_timeout: f64,
     /// Total (memory + disk) energy spent during the period, J.
     pub energy_total_j: f64,
@@ -59,14 +62,51 @@ impl PeriodObservation {
     }
 }
 
-/// Decision returned by a [`PeriodController`]: fields left `None` keep the
-/// current setting.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// Decision returned by a [`PeriodController`]: fields left `None` (or
+/// empty) keep the current setting.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControlAction {
     /// Resize the disk cache to this many banks.
     pub enabled_banks: Option<u32>,
-    /// Set the disk spin-down timeout to this many seconds.
+    /// Set the disk spin-down timeout to this many seconds (every member
+    /// disk's, unless `disk_timeouts` names them one by one).
     pub disk_timeout: Option<f64>,
+    /// Per-member spin-down timeouts, one per member disk in index order;
+    /// empty leaves the members to `disk_timeout`.
+    pub disk_timeouts: Vec<f64>,
+}
+
+// Hand-written so an action without per-member timeouts serializes
+// exactly as before the field existed: golden digests hash period rows.
+impl Serialize for ControlAction {
+    fn to_value(&self) -> serde::Value {
+        let mut fields = vec![
+            ("enabled_banks".to_string(), self.enabled_banks.to_value()),
+            ("disk_timeout".to_string(), self.disk_timeout.to_value()),
+        ];
+        if !self.disk_timeouts.is_empty() {
+            fields.push(("disk_timeouts".to_string(), self.disk_timeouts.to_value()));
+        }
+        serde::Value::Object(fields)
+    }
+}
+
+impl Deserialize for ControlAction {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |name: &str| {
+            value.get(name).ok_or_else(|| {
+                serde::Error::custom(format!("missing field `{name}` in ControlAction"))
+            })
+        };
+        Ok(ControlAction {
+            enabled_banks: Deserialize::from_value(field("enabled_banks")?)?,
+            disk_timeout: Deserialize::from_value(field("disk_timeout")?)?,
+            disk_timeouts: match value.get("disk_timeouts") {
+                Some(timeouts) => Deserialize::from_value(timeouts)?,
+                None => Vec::new(),
+            },
+        })
+    }
 }
 
 /// A power manager invoked at every period boundary (paper Fig. 2).
@@ -185,11 +225,6 @@ impl<C: PeriodController> TimedController<C> {
     pub fn inner(&self) -> &C {
         &self.inner
     }
-
-    /// The wrapped controller, mutably.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
-    }
 }
 
 impl<C: PeriodController> PeriodController for TimedController<C> {
@@ -253,5 +288,32 @@ mod tests {
         assert_eq!(action, ControlAction::default());
         assert!(action.enabled_banks.is_none());
         assert!(action.disk_timeout.is_none());
+    }
+
+    #[test]
+    fn per_member_timeouts_serialize_only_when_present() {
+        let single = ControlAction {
+            enabled_banks: Some(3),
+            disk_timeout: Some(11.5),
+            disk_timeouts: Vec::new(),
+        };
+        let keys = |action: &ControlAction| -> Vec<String> {
+            let value = action.to_value();
+            let fields = value.as_object().expect("object");
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys(&single), ["enabled_banks", "disk_timeout"]);
+        let array = ControlAction {
+            disk_timeouts: vec![11.5, 20.0],
+            ..single.clone()
+        };
+        assert_eq!(
+            keys(&array),
+            ["enabled_banks", "disk_timeout", "disk_timeouts"]
+        );
+        for action in [single, array] {
+            let back = ControlAction::from_value(&action.to_value()).expect("round trip");
+            assert_eq!(back, action);
+        }
     }
 }

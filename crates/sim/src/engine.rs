@@ -1,6 +1,6 @@
 //! The event-driven replay engine.
 //!
-//! [`Engine::run`] is a thin replay core: it walks the trace, drives the
+//! [`Engine::run_source`] is a thin replay core: it walks the trace, drives the
 //! [`HwState`], and emits typed [`SimEvent`]s to a set of pluggable
 //! [`SimObserver`]s. Everything that used to be inline state in the old
 //! monolithic replay loop — period accounting, the warm-up snapshot, the
@@ -16,7 +16,7 @@
 //! record (and once at the end of the run) the engine fires every timer due
 //! at or before the current target time, earliest first. When several
 //! timers are due at the *same* instant they fire in **registration
-//! order** — the order observers were passed to [`Engine::run`]. The
+//! order** — the order observers were passed to [`Engine::run_source`]. The
 //! standard stack registers `[WarmupWindow, PeriodAccounting, FlushDaemon,
 //! …]`, which pins the legacy replay's tie-breaks: at a shared instant the
 //! warm-up snapshot happens first, then the period row, then the sync
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use jpmd_trace::{AccessKind, SourceError, Trace, TraceRecord, TraceSource};
+use jpmd_trace::{AccessKind, SourceError, TraceRecord, TraceSource};
 use serde::{Deserialize, Serialize};
 
 use crate::{EventCounts, HwState, SimEvent};
@@ -140,8 +140,8 @@ impl PartialEq for EngineStats {
     }
 }
 
-/// When a checkpointable replay ([`Engine::run_source_with_checkpoints`])
-/// captures checkpoints. Checkpoints are only taken at period boundaries —
+/// When a checkpointable replay ([`Engine::replay_source`]) captures
+/// checkpoints. Checkpoints are only taken at period boundaries —
 /// the one instant where the hardware is settled and the controller's view
 /// is consistent — and fire on the first record replayed after the
 /// boundary.
@@ -172,10 +172,11 @@ impl CheckpointPolicy {
 /// every registered observer, in registration order.
 ///
 /// To resume: rebuild the identical source/hardware/observer stack, restore
-/// the hardware from [`EngineCheckpoint::hw`] and each observer from its
-/// entry in [`EngineCheckpoint::observers`], then pass the checkpoint to
-/// [`Engine::run_source_with_checkpoints`] — the engine restores its own
-/// fields and discards the already-consumed source pulls.
+/// the hardware from [`EngineCheckpoint::hw`], each observer from its entry
+/// in [`EngineCheckpoint::observers`] and the engine with
+/// [`Engine::restore`], then discard the
+/// [`EngineStats::records_pulled`] source pulls already consumed —
+/// [`Simulation`](crate::Simulation) does all of this.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Engine counters at the capture instant (wall-clock fields are
@@ -193,17 +194,6 @@ pub struct EngineCheckpoint {
     pub observers: Vec<serde::Value>,
 }
 
-/// Outcome of a checkpointable replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRun {
-    /// The engine's counters (final when `interrupted` is false).
-    pub stats: EngineStats,
-    /// True when the replay stopped early at a checkpoint (cooperative
-    /// shutdown, or the checkpoint callback returned `false`). The trailing
-    /// settle/close was skipped; the stats describe the partial replay.
-    pub interrupted: bool,
-}
-
 /// How many *consecutive* transient [`SourceError`]s [`Engine::run_source`]
 /// absorbs before giving up and propagating the error. A successful pull
 /// resets the budget, so a long trace with scattered transient faults
@@ -216,12 +206,12 @@ pub const MAX_SOURCE_RETRIES: u32 = 8;
 ///
 /// Two driving styles share one implementation:
 ///
-/// * **Batch**: [`Engine::run_source`] / [`Engine::run_source_with_checkpoints`]
-///   pull records from a [`TraceSource`] until the duration is reached.
-/// * **Incremental**: a long-lived owner (the `jpmd-core` `PolicyStepper`,
-///   and through it the `jpmd-serve` daemon) feeds records one at a time
-///   with [`Engine::step_record`], polls [`Engine::take_boundary`] for
-///   period rollovers, captures checkpoints on demand with
+/// * **Batch**: [`Engine::run_source`] / [`Engine::replay_source`] pull
+///   records from a [`TraceSource`] until the duration is reached.
+/// * **Incremental**: a long-lived owner (the
+///   [`PolicyStepper`](crate::PolicyStepper), and through it the
+///   `jpmd-serve` daemon) feeds records one at a time with
+///   [`Engine::step_record`], captures checkpoints on demand with
 ///   [`Engine::capture_now`], and closes the run with [`Engine::finish`].
 ///
 /// The batch loop is written *on top of* the incremental methods, so the
@@ -255,21 +245,6 @@ impl Engine {
         }
     }
 
-    /// Replays an in-memory `trace` against `hw` until `duration`,
-    /// dispatching to `observers`, and returns the engine's counters.
-    /// Convenience wrapper over [`Engine::run_source`] — the in-memory
-    /// source is infallible.
-    pub fn run(
-        self,
-        trace: &Trace,
-        duration: f64,
-        hw: &mut HwState,
-        observers: &mut [&mut dyn SimObserver],
-    ) -> EngineStats {
-        self.run_source(trace.source(), duration, hw, observers)
-            .expect("in-memory trace sources cannot fail")
-    }
-
     /// Replays `source` against `hw` until `duration`, dispatching to
     /// `observers`, and returns the engine's counters. Records at or after
     /// `duration` are ignored; all timers due by `duration` fire and the
@@ -295,68 +270,40 @@ impl Engine {
     /// the last replayed instant (both counted in the stats; all three
     /// counters stay zero for valid traces).
     pub fn run_source<S: TraceSource>(
-        self,
+        mut self,
         source: S,
         duration: f64,
         hw: &mut HwState,
         observers: &mut [&mut dyn SimObserver],
     ) -> Result<EngineStats, SourceError> {
-        let run = self.run_source_with_checkpoints(
-            source,
-            duration,
-            hw,
-            observers,
-            None,
-            &mut |_| true,
-            None,
-        )?;
-        debug_assert!(!run.interrupted, "no checkpoint policy can interrupt");
-        Ok(run.stats)
+        let wall = Instant::now();
+        let completed = self.replay_source(source, duration, hw, observers, None)?;
+        debug_assert!(completed, "no checkpoint policy can interrupt");
+        Ok(self.finish(duration, hw, observers, wall.elapsed().as_secs_f64()))
     }
 
-    /// Like [`Engine::run_source`], with crash-consistent checkpointing.
+    /// Pulls records from `source` into the replay ([`Engine::step_record`])
+    /// until one reaches `duration` or the source ends; the caller then
+    /// closes the run with [`Engine::finish`]. Returns `false` when a
+    /// checkpoint interrupted the replay instead.
     ///
-    /// When `policy` asks for a checkpoint (cadence reached, or its
-    /// shutdown flag set) the engine captures an [`EngineCheckpoint`] at
-    /// the first record replayed after a period boundary and hands it to
-    /// `on_checkpoint`. If the callback returns `false`, or the policy's
-    /// shutdown flag is set, the replay stops immediately (no trailing
-    /// settle) and the run comes back with `interrupted = true`.
-    ///
-    /// When `resume` is given the engine restores its own counters and
-    /// clock from the checkpoint and discards the checkpoint's
-    /// [`EngineStats::records_pulled`] source pulls before replaying; the
-    /// caller must have restored the hardware and every observer from the
-    /// checkpoint's images first (see
-    /// [`run_simulation_full`](crate::run_simulation_full), which does all
-    /// of this). The resumed run's final stats and observer state are
-    /// bit-identical to the uninterrupted run's.
+    /// With `checkpoints`, whenever its policy asks for a checkpoint
+    /// (cadence reached, or the shutdown flag set) the engine captures an
+    /// [`EngineCheckpoint`] at the first record replayed after a period
+    /// boundary and hands it to the callback. If the callback returns
+    /// `false`, or the shutdown flag is set, the replay stops there.
     ///
     /// # Errors
     ///
     /// Propagates source errors exactly like [`Engine::run_source`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_source_with_checkpoints<S: TraceSource>(
-        mut self,
+    pub fn replay_source<S: TraceSource>(
+        &mut self,
         mut source: S,
         duration: f64,
         hw: &mut HwState,
         observers: &mut [&mut dyn SimObserver],
-        policy: Option<&CheckpointPolicy>,
-        on_checkpoint: &mut dyn FnMut(EngineCheckpoint) -> bool,
-        resume: Option<&EngineCheckpoint>,
-    ) -> Result<EngineRun, SourceError> {
-        let wall = Instant::now();
-        if let Some(ckpt) = resume {
-            self.restore(ckpt);
-            // Skip what the interrupted run already consumed. Every
-            // `Some(_)` counts one pull — replayed, retried, dropped, or
-            // clamped — so the restored stats already account for these.
-            let mut discard = ckpt.stats.records_pulled;
-            while discard > 0 && source.next_record().is_some() {
-                discard -= 1;
-            }
-        }
+        mut checkpoints: Option<(&CheckpointPolicy, &mut dyn FnMut(EngineCheckpoint) -> bool)>,
+    ) -> Result<bool, SourceError> {
         let mut consecutive_retries = 0u32;
         while let Some(next) = source.next_record() {
             let record = match next {
@@ -373,40 +320,31 @@ impl Engine {
             if !self.step_record(record, duration, hw, observers) {
                 break;
             }
-            if let Some(policy) = policy {
-                if self.take_boundary() {
-                    let shutdown = policy
-                        .shutdown
-                        .as_ref()
-                        .is_some_and(|flag| flag.load(Ordering::Relaxed));
-                    let due =
-                        policy.every_periods > 0 && self.periods_since_ckpt >= policy.every_periods;
-                    if shutdown || due {
-                        self.periods_since_ckpt = 0;
-                        let ckpt = self.capture_now(hw, observers);
-                        let keep_going = on_checkpoint(ckpt);
-                        if shutdown || !keep_going {
-                            self.stats.replay_wall_secs = wall.elapsed().as_secs_f64();
-                            return Ok(EngineRun {
-                                stats: self.stats,
-                                interrupted: true,
-                            });
-                        }
+            let Some((policy, on_checkpoint)) = checkpoints.as_mut() else {
+                continue;
+            };
+            if std::mem::take(&mut self.boundary_pending) {
+                let shutdown = policy
+                    .shutdown
+                    .as_ref()
+                    .is_some_and(|flag| flag.load(Ordering::Relaxed));
+                let due =
+                    policy.every_periods > 0 && self.periods_since_ckpt >= policy.every_periods;
+                if shutdown || due {
+                    self.periods_since_ckpt = 0;
+                    let keep_going = on_checkpoint(self.capture_now(hw, observers));
+                    if shutdown || !keep_going {
+                        return Ok(false);
                     }
                 }
             }
         }
-        let stats = self.finish(duration, hw, observers, wall.elapsed().as_secs_f64());
-        Ok(EngineRun {
-            stats,
-            interrupted: false,
-        })
+        Ok(true)
     }
 
     /// Restores the engine's own counters and replay clock from a
     /// checkpoint (the caller restores the hardware and observers from the
-    /// checkpoint's opaque images). Part of the incremental driving
-    /// surface; the batch resume path uses it too.
+    /// checkpoint's opaque images).
     pub fn restore(&mut self, ckpt: &EngineCheckpoint) {
         self.stats = ckpt.stats.clone();
         self.segment = ckpt.segment;
@@ -447,13 +385,6 @@ impl Engine {
         true
     }
 
-    /// True when one or more period boundaries closed since the last call
-    /// (the flag is cleared). Incremental drivers poll this after each
-    /// [`Engine::step_record`] to learn about rollovers.
-    pub fn take_boundary(&mut self) -> bool {
-        std::mem::take(&mut self.boundary_pending)
-    }
-
     /// Timestamp of the last replayed record, s (the replay clock).
     pub fn last_time(&self) -> f64 {
         self.last_time
@@ -465,13 +396,21 @@ impl Engine {
     }
 
     /// Builds a checkpoint of the current replay state at the replay
-    /// clock's current instant (see [`EngineCheckpoint`]).
+    /// clock's current instant (see [`EngineCheckpoint`]): engine
+    /// counters, hardware, observers in registration order.
     pub fn capture_now(
         &self,
         hw: &HwState,
         observers: &[&mut dyn SimObserver],
     ) -> EngineCheckpoint {
-        self.capture(self.last_time, hw, observers)
+        EngineCheckpoint {
+            stats: self.stats.clone(),
+            segment: self.segment,
+            segment_start: self.segment_start,
+            last_time: self.last_time,
+            hw: hw.snapshot_state(),
+            observers: observers.iter().map(|ob| ob.snapshot_state()).collect(),
+        }
     }
 
     /// Closes out an incremental replay: fires all timers due by
@@ -511,24 +450,6 @@ impl Engine {
                 .set(self.stats.accesses_per_sec);
         }
         self.stats
-    }
-
-    /// Builds a checkpoint of the current replay state (engine counters,
-    /// hardware, observers in registration order).
-    fn capture(
-        &self,
-        last_time: f64,
-        hw: &HwState,
-        observers: &[&mut dyn SimObserver],
-    ) -> EngineCheckpoint {
-        EngineCheckpoint {
-            stats: self.stats.clone(),
-            segment: self.segment,
-            segment_start: self.segment_start,
-            last_time,
-            hw: hw.snapshot_state(),
-            observers: observers.iter().map(|ob| ob.snapshot_state()).collect(),
-        }
     }
 
     /// Fires every observer timer due at or before `target`, earliest
@@ -678,7 +599,7 @@ mod tests {
     use crate::SimConfig;
     use jpmd_disk::SpinDownPolicy;
     use jpmd_mem::{IdlePolicy, MemConfig, RdramModel};
-    use jpmd_trace::{FileId, TraceRecord};
+    use jpmd_trace::{FileId, Trace, TraceRecord};
 
     fn hw() -> HwState {
         let config = SimConfig::with_mem(MemConfig {
@@ -692,8 +613,16 @@ mod tests {
         HwState::new(&config, SpinDownPolicy::AlwaysOn, 64)
     }
 
-    fn trace(records: Vec<TraceRecord>) -> Trace {
-        Trace::new(records, 1 << 20, 64)
+    /// Replays `records` until t = 10 s.
+    fn replay(
+        records: Vec<TraceRecord>,
+        hw: &mut HwState,
+        observers: &mut [&mut dyn SimObserver],
+    ) -> EngineStats {
+        let trace = Trace::new(records, 1 << 20, 64);
+        Engine::new()
+            .run_source(trace.source(), 10.0, hw, observers)
+            .expect("in-memory trace sources cannot fail")
     }
 
     fn record(time: f64, first_page: u64, pages: u64) -> TraceRecord {
@@ -733,9 +662,8 @@ mod tests {
         let mut hw = hw();
         {
             let mut obs: [&mut dyn SimObserver; 1] = [&mut recorder];
-            let stats = Engine::new().run(
-                &trace(vec![record(1.0, 0, 2), record(2.0, 0, 2)]),
-                10.0,
+            let stats = replay(
+                vec![record(1.0, 0, 2), record(2.0, 0, 2)],
                 &mut hw,
                 &mut obs,
             );
@@ -779,9 +707,8 @@ mod tests {
         let mut hw = hw();
         {
             let mut obs: [&mut dyn SimObserver; 1] = [&mut recorder];
-            let stats = Engine::new().run(
-                &trace(vec![record(1.0, 0, 1), record(9.0, 0, 1)]),
-                10.0,
+            let stats = replay(
+                vec![record(1.0, 0, 1), record(9.0, 0, 1)],
                 &mut hw,
                 &mut obs,
             );
@@ -887,7 +814,7 @@ mod tests {
         assert_eq!(stats.records_clamped, 1);
         assert_eq!(stats.counts.accesses, 3);
         // The disk saw monotone arrivals despite the scrambled source.
-        assert_eq!(hw.disk.requests(), 3);
+        assert_eq!(hw.disks.requests(), 3);
     }
 
     #[test]
@@ -912,7 +839,7 @@ mod tests {
     #[test]
     fn trailing_partial_segment_is_logged() {
         let mut hw = hw();
-        let stats = Engine::new().run(&trace(vec![record(1.0, 0, 1)]), 10.0, &mut hw, &mut []);
+        let stats = replay(vec![record(1.0, 0, 1)], &mut hw, &mut []);
         assert_eq!(stats.period_log.len(), 1);
         assert_eq!(stats.period_log[0].start, 0.0);
         assert_eq!(stats.period_log[0].end, 10.0);

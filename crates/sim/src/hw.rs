@@ -1,8 +1,8 @@
 //! The simulated hardware owned by the [`Engine`](crate::Engine): memory,
-//! disk, and spin-down policy, plus the request bookkeeping both the
-//! replay core and the observers read.
+//! the member disks and their spin-down policies, plus the request
+//! bookkeeping both the replay core and the observers read.
 
-use jpmd_disk::{Disk, DiskPowerModel, RequestOutcome, SpinDownPolicy};
+use jpmd_disk::{DiskArray, DiskPowerModel, RequestOutcome, SpinDownPolicy};
 use jpmd_mem::MemoryManager;
 
 use crate::{ControlAction, EnergyBreakdown, SimConfig, SimEvent};
@@ -62,8 +62,8 @@ pub trait FaultInjector: Send {
 #[derive(serde::Serialize, serde::Deserialize)]
 struct HwSnapshot {
     mem: serde::Value,
-    disk: serde::Value,
-    spindown: SpinDownPolicy,
+    disks: serde::Value,
+    spindowns: Vec<SpinDownPolicy>,
     disk_pages: u64,
     period_disk_times: Vec<f64>,
     injector: serde::Value,
@@ -73,42 +73,49 @@ struct HwSnapshot {
 ///
 /// Observers receive `&mut HwState` with every callback: they read counters
 /// to build observations and may act on the hardware (the period controller
-/// resizes memory and retunes the disk timeout through
+/// resizes memory and retunes the disk timeouts through
 /// [`HwState::apply_action`]).
 pub struct HwState {
     /// The disk cache (banked memory, LRU, stack profiler).
     pub mem: MemoryManager,
-    /// The disk behind the cache (queue, spin-down, energy).
-    pub disk: Disk,
-    /// The policy supplying the disk's idleness timeout.
-    pub spindown: SpinDownPolicy,
+    /// The member disks behind the cache (queues, spin-down, energy);
+    /// one disk unless [`SimConfig::array`] asks for more.
+    pub disks: DiskArray,
     /// All pages moved between disk and memory so far (read misses +
     /// write-backs).
     pub disk_pages: u64,
-    /// Disk request arrival times inside the current control period
+    /// Disk (sub-)request arrival times inside the current control period
     /// (cleared by the period observer at each boundary).
     pub period_disk_times: Vec<f64>,
+    /// Each member's spin-down policy, in member order.
+    spindowns: Vec<SpinDownPolicy>,
     page_bytes: u64,
     disk_power: DiskPowerModel,
     injector: Option<Box<dyn FaultInjector>>,
 }
 
 impl HwState {
-    /// Builds the hardware for one run: a memory manager and a disk sized
-    /// for `total_pages`, with the spin-down policy's initial timeout
-    /// applied.
+    /// Builds the hardware for one run: a memory manager and the
+    /// configured member disks over `total_pages`, each member with its
+    /// own copy of `spindown` and that policy's initial timeout applied.
     pub fn new(config: &SimConfig, spindown: SpinDownPolicy, total_pages: u64) -> Self {
         let mut mem = MemoryManager::new(config.mem);
         mem.set_replacement(config.replacement);
         mem.set_consolidation(config.consolidate);
-        let mut disk = Disk::new(config.disk_power, config.disk_service, total_pages);
-        disk.set_timeout(spindown.timeout());
+        let mut disks = DiskArray::new(
+            config.array.disks,
+            config.disk_power,
+            config.disk_service,
+            total_pages,
+            config.array.layout,
+        );
+        disks.set_timeout_all(spindown.timeout());
         HwState {
             mem,
-            disk,
-            spindown,
+            disks,
             disk_pages: 0,
             period_disk_times: Vec::new(),
+            spindowns: vec![spindown; config.array.disks],
             page_bytes: config.mem.page_bytes,
             disk_power: config.disk_power,
             injector: None,
@@ -121,16 +128,16 @@ impl HwState {
         self.injector = Some(injector);
     }
 
-    /// The hardware's full dynamic state (memory, disk, spin-down policy,
-    /// request bookkeeping, and the injector's state when one is
-    /// installed) as a serializable value — the hardware half of a
-    /// checkpoint.
+    /// The hardware's full dynamic state (memory, every member disk and
+    /// its spin-down policy, request bookkeeping, and the injector's state
+    /// when one is installed) as a serializable value — the hardware half
+    /// of a checkpoint.
     pub fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize;
         HwSnapshot {
             mem: self.mem.snapshot_state(),
-            disk: self.disk.snapshot_state(),
-            spindown: self.spindown.clone(),
+            disks: self.disks.snapshot_state(),
+            spindowns: self.spindowns.clone(),
             disk_pages: self.disk_pages,
             period_disk_times: self.period_disk_times.clone(),
             injector: self
@@ -153,9 +160,16 @@ impl HwState {
     pub fn restore_state(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         use serde::Deserialize;
         let snapshot = HwSnapshot::from_value(value)?;
+        if snapshot.spindowns.len() != self.spindowns.len() {
+            return Err(serde::Error::custom(format!(
+                "checkpoint holds {} spin-down policies for {} member disks",
+                snapshot.spindowns.len(),
+                self.spindowns.len()
+            )));
+        }
         self.mem.restore_state(&snapshot.mem)?;
-        self.disk.restore_state(&snapshot.disk)?;
-        self.spindown = snapshot.spindown;
+        self.disks.restore_state(&snapshot.disks)?;
+        self.spindowns = snapshot.spindowns;
         self.disk_pages = snapshot.disk_pages;
         self.period_disk_times = snapshot.period_disk_times;
         if let Some(injector) = self.injector.as_deref_mut() {
@@ -164,36 +178,60 @@ impl HwState {
         Ok(())
     }
 
-    /// Advances both components' internal clocks to `t` (idempotent).
+    /// Advances memory's and every disk's internal clock to `t`
+    /// (idempotent).
     pub fn settle(&mut self, t: f64) {
         self.mem.settle(t);
-        self.disk.settle(t);
+        self.disks.settle(t);
     }
 
-    /// Current cumulative energy of both components.
+    /// Current cumulative energy of memory and all disks.
     pub fn snapshot_energy(&self) -> EnergyBreakdown {
         EnergyBreakdown {
             mem: self.mem.energy(),
-            disk: self.disk.energy(),
+            disk: self.disks.energy(),
         }
     }
 
-    /// Submits one contiguous run of pages to the disk at `at`, letting the
-    /// spin-down policy react, and records the request in the period
-    /// bookkeeping.
+    /// The spin-down timeout in force on the first member disk, s — the
+    /// disk timeout of a single-disk run.
+    pub fn disk_timeout(&self) -> f64 {
+        self.disks.disk(0).timeout()
+    }
+
+    /// Submits one contiguous run of pages at `at`, split across the
+    /// member disks by the layout. Each member's sub-request may be
+    /// stalled by the fault injector, then lets that member's spin-down
+    /// policy react, and is recorded in the period bookkeeping. Returns
+    /// the request's outcome (the slowest sub-request).
     pub fn submit_request(&mut self, at: f64, first_page: u64, pages: u64) -> RequestOutcome {
-        let mut outcome = self.disk.submit(at, first_page, pages, self.page_bytes);
-        if let Some(injector) = self.injector.as_mut() {
-            let extra = injector.on_disk_request(at, &outcome);
-            if extra > 0.0 {
-                self.disk.stall(extra);
-                outcome.completion += extra;
-                outcome.latency += extra;
-            }
-        }
-        let timeout = self.spindown.after_request(&outcome, &self.disk_power);
-        self.disk.set_timeout(timeout);
-        self.period_disk_times.push(at);
+        let HwState {
+            disks,
+            spindowns,
+            period_disk_times,
+            injector,
+            disk_power,
+            ..
+        } = self;
+        let outcome = disks.submit(
+            at,
+            first_page,
+            pages,
+            self.page_bytes,
+            |d, disk, mut part| {
+                if let Some(injector) = injector.as_mut() {
+                    let extra = injector.on_disk_request(at, &part);
+                    if extra > 0.0 {
+                        disk.stall(extra);
+                        part.completion += extra;
+                        part.latency += extra;
+                    }
+                }
+                disk.set_timeout(spindowns[d].after_request(&part, disk_power));
+                period_disk_times.push(at);
+                part
+            },
+        );
         self.disk_pages += pages;
         outcome
     }
@@ -227,7 +265,15 @@ impl HwState {
         events
     }
 
-    /// Applies a controller's decision at time `t`.
+    /// Applies a controller's decision at time `t`: the memory size, then
+    /// each member's timeout — from `disk_timeouts` when the action names
+    /// them one by one, else `disk_timeout` for every member.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `disk_timeouts` is non-empty but does not hold one
+    /// timeout per member disk, or when a timeout reaches a member whose
+    /// policy is not [`SpinDownPolicy::Controlled`].
     pub fn apply_action(&mut self, action: &ControlAction, t: f64) {
         if let Some(banks) = action.enabled_banks {
             let banks = match self.injector.as_mut() {
@@ -236,14 +282,29 @@ impl HwState {
             };
             self.mem.set_enabled_banks(banks, t);
         }
-        if let Some(timeout) = action.disk_timeout {
-            let timeout = match self.injector.as_mut() {
-                Some(injector) => injector.filter_timeout(timeout),
-                None => timeout,
-            };
-            self.spindown.set_controlled_timeout(timeout);
-            self.disk.set_timeout(timeout);
+        if !action.disk_timeouts.is_empty() {
+            assert_eq!(
+                action.disk_timeouts.len(),
+                self.spindowns.len(),
+                "one timeout per member disk"
+            );
+            for (d, &timeout) in action.disk_timeouts.iter().enumerate() {
+                self.set_member_timeout(d, timeout);
+            }
+        } else if let Some(timeout) = action.disk_timeout {
+            for d in 0..self.spindowns.len() {
+                self.set_member_timeout(d, timeout);
+            }
         }
+    }
+
+    fn set_member_timeout(&mut self, d: usize, timeout: f64) {
+        let timeout = match self.injector.as_mut() {
+            Some(injector) => injector.filter_timeout(timeout),
+            None => timeout,
+        };
+        self.spindowns[d].set_controlled_timeout(timeout);
+        self.disks.set_timeout(d, timeout);
     }
 }
 
@@ -252,16 +313,19 @@ mod tests {
     use super::*;
     use jpmd_mem::{IdlePolicy, MemConfig, RdramModel};
 
-    fn hw(spindown: SpinDownPolicy) -> HwState {
-        let config = SimConfig::with_mem(MemConfig {
+    fn config() -> SimConfig {
+        SimConfig::with_mem(MemConfig {
             page_bytes: 1 << 20,
             bank_pages: 4,
             total_banks: 8,
             initial_banks: 8,
             model: RdramModel::default(),
             policy: IdlePolicy::Nap,
-        });
-        HwState::new(&config, spindown, 64)
+        })
+    }
+
+    fn hw(spindown: SpinDownPolicy) -> HwState {
+        HwState::new(&config(), spindown, 64)
     }
 
     #[test]
@@ -271,7 +335,7 @@ mod tests {
         let events = hw.submit_writes(vec![9, 0, 2, 1, 8], 5.0);
         assert_eq!(events.len(), 2);
         assert_eq!(hw.disk_pages, 5);
-        assert_eq!(hw.disk.requests(), 2);
+        assert_eq!(hw.disks.requests(), 2);
         assert_eq!(hw.period_disk_times, vec![5.0, 5.0]);
         match events[0] {
             SimEvent::DiskRequest {
@@ -309,17 +373,18 @@ mod tests {
         let outcome = faulty.submit_request(1.0, 0, 1);
         assert!((outcome.latency - (baseline.latency + 2.0)).abs() < 1e-12);
         assert!((outcome.completion - (baseline.completion + 2.0)).abs() < 1e-12);
-        assert!((faulty.disk.busy_secs() - (plain.disk.busy_secs() + 2.0)).abs() < 1e-12);
+        assert!((faulty.disks.busy_secs() - (plain.disks.busy_secs() + 2.0)).abs() < 1e-12);
 
         faulty.apply_action(
             &ControlAction {
                 enabled_banks: Some(2),
                 disk_timeout: Some(7.0),
+                disk_timeouts: Vec::new(),
             },
             10.0,
         );
         assert_eq!(faulty.mem.enabled_banks(), 6, "flaky banks refused");
-        assert_eq!(faulty.disk.timeout(), 9.0, "timeout filtered");
+        assert_eq!(faulty.disk_timeout(), 9.0, "timeout filtered");
     }
 
     #[test]
@@ -329,14 +394,58 @@ mod tests {
             &ControlAction {
                 enabled_banks: Some(4),
                 disk_timeout: Some(7.0),
+                disk_timeouts: Vec::new(),
             },
             10.0,
         );
         assert_eq!(hw.mem.enabled_banks(), 4);
-        assert_eq!(hw.disk.timeout(), 7.0);
+        assert_eq!(hw.disk_timeout(), 7.0);
         // Empty action leaves everything alone.
         hw.apply_action(&ControlAction::default(), 11.0);
         assert_eq!(hw.mem.enabled_banks(), 4);
-        assert_eq!(hw.disk.timeout(), 7.0);
+        assert_eq!(hw.disk_timeout(), 7.0);
+    }
+
+    #[test]
+    fn members_take_their_own_timeouts_and_share_a_plain_one() {
+        let mut config = config();
+        config.array = crate::ArrayConfig {
+            disks: 3,
+            layout: jpmd_disk::Layout::Partitioned,
+        };
+        let mut hw = HwState::new(&config, SpinDownPolicy::controlled(f64::INFINITY), 60);
+        hw.apply_action(
+            &ControlAction {
+                disk_timeouts: vec![5.0, 6.0, 7.0],
+                ..ControlAction::default()
+            },
+            1.0,
+        );
+        let timeouts: Vec<f64> = hw.disks.disks().iter().map(|d| d.timeout()).collect();
+        assert_eq!(timeouts, [5.0, 6.0, 7.0]);
+        hw.apply_action(
+            &ControlAction {
+                disk_timeout: Some(9.0),
+                ..ControlAction::default()
+            },
+            2.0,
+        );
+        assert!(hw.disks.disks().iter().all(|d| d.timeout() == 9.0));
+        // A request spanning two partitions is two sub-requests.
+        hw.submit_request(3.0, 15, 10);
+        assert_eq!(hw.disks.requests(), 2);
+        assert_eq!(hw.period_disk_times, [3.0, 3.0]);
+        let mut restored = HwState::new(&config, SpinDownPolicy::AlwaysOn, 60);
+        restored
+            .restore_state(&hw.snapshot_state())
+            .expect("same geometry restores");
+        assert_eq!(restored.disks.requests(), 2);
+        assert!(HwState::new(
+            &SimConfig::with_mem(config.mem),
+            SpinDownPolicy::AlwaysOn,
+            60
+        )
+        .restore_state(&hw.snapshot_state())
+        .is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! The pre-refactor monolithic replay loop, kept verbatim (test-only) as
 //! the oracle for the event-driven [`Engine`](crate::Engine): the
-//! regression tests at the bottom assert that
-//! [`run_simulation`](crate::run_simulation) reproduces this loop's
-//! physics bit for bit across representative configurations.
+//! regression tests at the bottom assert that a
+//! [`Simulation`](crate::Simulation) reproduces this loop's physics bit for
+//! bit across representative configurations.
 
 use jpmd_disk::{Disk, SpinDownPolicy};
 use jpmd_mem::MemoryManager;
@@ -14,7 +14,7 @@ use crate::{
     SimConfig,
 };
 
-/// The original monolithic `run_simulation`, unchanged except for filling
+/// The original monolithic replay loop, unchanged except for filling
 /// the new [`RunReport::engine`] field with a default (the legacy loop has
 /// no event counters).
 #[allow(clippy::too_many_lines)]
@@ -288,9 +288,24 @@ pub fn run_simulation_legacy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_simulation, ControlAction, NullController};
+    use crate::{ControlAction, NullController, Simulation};
     use jpmd_mem::{IdlePolicy, MemConfig, RdramModel};
     use jpmd_trace::{FileId, TraceRecord, WorkloadBuilder, GIB, MIB};
+
+    fn simulate(
+        config: &SimConfig,
+        spindown: SpinDownPolicy,
+        controller: &mut dyn PeriodController,
+        trace: &Trace,
+        duration: f64,
+        label: &str,
+    ) -> RunReport {
+        Simulation::new(config, spindown, controller, label)
+            .run(trace.source(), duration)
+            .expect("in-memory trace sources cannot fail")
+            .into_report()
+            .expect("no checkpoint policy was installed")
+    }
 
     fn mem_config(banks: u32) -> MemConfig {
         MemConfig {
@@ -359,7 +374,7 @@ mod tests {
     fn engine_matches_legacy_always_on_multi_period() {
         let config = SimConfig::with_mem(mem_config(8));
         let trace = synthetic_trace();
-        let a = run_simulation(
+        let a = simulate(
             &config,
             SpinDownPolicy::AlwaysOn,
             &mut NullController,
@@ -388,7 +403,7 @@ mod tests {
         config.warmup_secs = 250.0;
         config.sync_interval_secs = 30.0;
         let trace = synthetic_trace();
-        let a = run_simulation(
+        let a = simulate(
             &config,
             SpinDownPolicy::two_competitive(&config.disk_power),
             &mut NullController,
@@ -421,6 +436,7 @@ mod tests {
                 ControlAction {
                     enabled_banks: Some(obs.enabled_banks.saturating_sub(1).max(1)),
                     disk_timeout: Some(5.0),
+                    disk_timeouts: Vec::new(),
                 }
             }
             fn name(&self) -> &str {
@@ -429,7 +445,7 @@ mod tests {
         }
         let config = SimConfig::with_mem(mem_config(8));
         let trace = synthetic_trace();
-        let a = run_simulation(
+        let a = simulate(
             &config,
             SpinDownPolicy::controlled(f64::INFINITY),
             &mut Shrinker,
@@ -458,7 +474,7 @@ mod tests {
         config.warmup_secs = config.period_secs;
         config.sync_interval_secs = config.period_secs / 4.0;
         let trace = synthetic_trace();
-        let a = run_simulation(
+        let a = simulate(
             &config,
             SpinDownPolicy::two_competitive(&config.disk_power),
             &mut NullController,
@@ -482,7 +498,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn check_both(config: &SimConfig, trace: &Trace, duration: f64) -> (RunReport, RunReport) {
-        let a = run_simulation(
+        let a = simulate(
             config,
             SpinDownPolicy::AlwaysOn,
             &mut NullController,

@@ -20,20 +20,22 @@
 //!                               (joint policy: resize + timeout)
 //! ```
 //!
-//! [`run_simulation`] executes one method over one trace and returns a
-//! [`RunReport`] with the exact metrics the paper's figures plot: energy
-//! split by component, average latency, disk utilization, long-latency
-//! request rate, and per-period time series.
+//! [`Simulation`] builds every run — batch or incremental, in-memory or
+//! streamed, checkpointed or faulted, one disk or an array of them
+//! ([`ArrayConfig`]) — and returns a [`RunReport`] with the exact metrics
+//! the paper's figures plot: energy split by component, average latency,
+//! disk utilization, long-latency request rate, and per-period time
+//! series.
 //!
 //! # Example
 //!
 //! ```
 //! use jpmd_mem::{IdlePolicy, MemConfig, RdramModel};
-//! use jpmd_sim::{run_simulation, NullController, SimConfig};
+//! use jpmd_sim::{NullController, SimConfig, Simulation};
 //! use jpmd_disk::SpinDownPolicy;
 //! use jpmd_trace::{WorkloadBuilder, MIB};
 //!
-//! # fn main() -> Result<(), jpmd_trace::TraceError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let trace = WorkloadBuilder::new()
 //!     .data_set_bytes(64 * MIB)
 //!     .rate_bytes_per_sec(8 * MIB)
@@ -48,14 +50,10 @@
 //!     policy: IdlePolicy::Nap,
 //! };
 //! let config = SimConfig::with_mem(mem);
-//! let report = run_simulation(
-//!     &config,
-//!     SpinDownPolicy::AlwaysOn,
-//!     &mut NullController,
-//!     &trace,
-//!     60.0,
-//!     "always-on",
-//! );
+//! let report = Simulation::new(&config, SpinDownPolicy::AlwaysOn, NullController, "always-on")
+//!     .run(trace.source(), 60.0)?
+//!     .into_report()
+//!     .expect("no checkpoint policy, so the run completes");
 //! assert!(report.energy.total_j() > 0.0);
 //! # Ok(())
 //! # }
@@ -64,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod array_system;
 mod config;
 mod controller;
 pub mod engine;
@@ -74,18 +71,14 @@ mod hw;
 mod legacy;
 mod metrics;
 pub mod observers;
-mod system;
+mod simulation;
 
-pub use array_system::{
-    run_array_simulation, ArrayConfig, ArrayControlAction, ArrayPeriodController,
-    ArrayPeriodObservation, DiskPeriodStats, NullArrayController,
-};
-pub use config::SimConfig;
+pub use config::{ArrayConfig, SimConfig};
 pub use controller::{
     ControlAction, NullController, PeriodController, PeriodObservation, TimedController,
 };
 pub use engine::{
-    CheckpointPolicy, Engine, EngineCheckpoint, EngineRun, EngineStats, PeriodEvents, SimObserver,
+    CheckpointPolicy, Engine, EngineCheckpoint, EngineStats, PeriodEvents, SimObserver,
     MAX_SOURCE_RETRIES,
 };
 pub use events::{EventCounts, SimEvent};
@@ -95,9 +88,8 @@ pub use observers::{
     EnergyMeter, EnergySummary, FlushDaemon, LatencySummary, LatencyTracker, PeriodAccounting,
     TelemetryObserver, WarmupWindow,
 };
-pub use system::{
-    run_simulation, run_simulation_full, run_simulation_source, run_simulation_source_with,
-    CheckpointOptions, SimCheckpoint, SimOutcome,
+pub use simulation::{
+    CheckpointOptions, FeedOutcome, PolicyStepper, SimCheckpoint, SimOutcome, Simulation,
 };
 
 // Re-exported so downstream callers can build configurations without

@@ -74,7 +74,8 @@ pub struct RunReport {
     pub hits: u64,
     /// Cache misses (disk page accesses) in the window.
     pub disk_page_accesses: u64,
-    /// Disk requests (contiguous runs) in the window.
+    /// Disk requests (contiguous runs) in the window; on an array each
+    /// member's sub-request counts once.
     pub disk_requests: u64,
     /// Mean latency over all cache accesses (hits count as zero), s.
     pub mean_latency_secs: f64,
@@ -86,9 +87,9 @@ pub struct RunReport {
     pub max_latency_secs: f64,
     /// Accesses delayed beyond the long-latency threshold.
     pub long_latency_count: u64,
-    /// Disk busy fraction of the window.
+    /// Disk busy fraction of the window (the mean over member disks).
     pub utilization: f64,
-    /// Disk spin-downs in the window.
+    /// Disk spin-downs in the window (summed over member disks).
     pub spin_downs: u64,
     /// Per-period time series (full run, including warm-up).
     pub periods: Vec<PeriodRow>,

@@ -1,7 +1,7 @@
 //! The standard observer stack: the components that used to be inline
 //! state in the monolithic replay loop, each now owning one concern.
 //!
-//! [`run_simulation`](crate::run_simulation) registers them in a
+//! [`Simulation`](crate::Simulation) registers them in a
 //! **load-bearing order** — `[WarmupWindow, PeriodAccounting, FlushDaemon,
 //! LatencyTracker, EnergyMeter]` — because the engine fires same-instant
 //! timers in registration order. That reproduces the legacy loop's
@@ -15,7 +15,8 @@ use jpmd_stats::{IdleIntervals, Welford};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    EnergyBreakdown, HwState, PeriodController, PeriodObservation, PeriodRow, SimEvent, SimObserver,
+    EnergyBreakdown, HwState, PeriodController, PeriodObservation, PeriodRow, SimConfig, SimEvent,
+    SimObserver,
 };
 
 /// Ends the warm-up window: settles the hardware at `warmup_secs` and emits
@@ -81,9 +82,8 @@ impl SimObserver for WarmupWindow {
 /// (memory resize, disk timeout) to the hardware, records the
 /// [`PeriodRow`], and emits [`SimEvent::PeriodBoundary`].
 ///
-/// Generic over the controller: the batch simulation wires it with
-/// `&mut dyn PeriodController`, the incremental `PolicyStepper` owns its
-/// controller outright (both satisfy [`PeriodController`] via the blanket
+/// Generic over the controller: a run may own its controller or borrow it
+/// (`&mut C` and `Box<C>` satisfy [`PeriodController`] via the blanket
 /// impls in the controller module).
 ///
 /// [`ControlAction`]: crate::ControlAction
@@ -97,35 +97,33 @@ pub struct PeriodAccounting<C> {
     p_acc: u64,
     p_pages: u64,
     p_req: u64,
-    p_busy: f64,
+    /// Each member disk's busy seconds at the last boundary: the period's
+    /// busy time sums per-member deltas.
+    p_busy: Vec<f64>,
     p_delayed: u64,
     p_energy: EnergyBreakdown,
     rows: Vec<PeriodRow>,
 }
 
 impl<C: PeriodController> PeriodAccounting<C> {
-    /// Period accounting driving `controller` every `period_secs`, with
-    /// idle intervals aggregated at `aggregation_window_secs` (paper
-    /// Sec. 4.2). User page accesses slower than `long_latency_secs`
-    /// count as the period's delayed accesses (the observation's
-    /// delayed-request ratio, paper eq. 6).
-    pub fn new(
-        controller: C,
-        period_secs: f64,
-        aggregation_window_secs: f64,
-        long_latency_secs: f64,
-    ) -> Self {
+    /// Period accounting driving `controller` every
+    /// [`SimConfig::period_secs`], with idle intervals aggregated at
+    /// [`SimConfig::aggregation_window_secs`] (paper Sec. 4.2). User page
+    /// accesses slower than [`SimConfig::long_latency_secs`] count as the
+    /// period's delayed accesses (the observation's delayed-request ratio,
+    /// paper eq. 6).
+    pub fn new(controller: C, config: &SimConfig) -> Self {
         PeriodAccounting {
             controller,
-            period_secs,
-            aggregation_window_secs,
-            long_latency_secs,
+            period_secs: config.period_secs,
+            aggregation_window_secs: config.aggregation_window_secs,
+            long_latency_secs: config.long_latency_secs,
             period_start: 0.0,
-            next_period: period_secs,
+            next_period: config.period_secs,
             p_acc: 0,
             p_pages: 0,
             p_req: 0,
-            p_busy: 0.0,
+            p_busy: vec![0.0; config.array.disks],
             p_delayed: 0,
             p_energy: EnergyBreakdown::default(),
             rows: Vec::new(),
@@ -148,11 +146,6 @@ impl<C: PeriodController> PeriodAccounting<C> {
     pub fn controller(&self) -> &C {
         &self.controller
     }
-
-    /// The wrapped controller, mutably.
-    pub fn controller_mut(&mut self) -> &mut C {
-        &mut self.controller
-    }
 }
 
 /// Serializable image of [`PeriodAccounting`]'s dynamic state. The wrapped
@@ -166,7 +159,7 @@ struct PeriodAccountingSnapshot {
     p_acc: u64,
     p_pages: u64,
     p_req: u64,
-    p_busy: f64,
+    p_busy: Vec<f64>,
     p_delayed: u64,
     p_energy: EnergyBreakdown,
     rows: Vec<PeriodRow>,
@@ -185,8 +178,14 @@ impl<C: PeriodController> SimObserver for PeriodAccounting<C> {
             end: t,
             cache_accesses: hw.mem.accesses() - self.p_acc,
             disk_page_accesses: hw.disk_pages - self.p_pages,
-            disk_requests: hw.disk.requests() - self.p_req,
-            disk_busy_secs: hw.disk.busy_secs() - self.p_busy,
+            disk_requests: hw.disks.requests() - self.p_req,
+            disk_busy_secs: hw
+                .disks
+                .disks()
+                .iter()
+                .zip(&self.p_busy)
+                .map(|(disk, p_busy)| disk.busy_secs() - p_busy)
+                .sum(),
             idle: IdleIntervals::from_timestamps(
                 &hw.period_disk_times,
                 self.aggregation_window_secs,
@@ -194,7 +193,7 @@ impl<C: PeriodController> SimObserver for PeriodAccounting<C> {
             .stats(),
             delayed_page_accesses: self.p_delayed,
             enabled_banks: hw.mem.enabled_banks(),
-            disk_timeout: hw.disk.timeout(),
+            disk_timeout: hw.disk_timeout(),
             energy_total_j: hw.snapshot_energy().since(&self.p_energy).total_j(),
         };
         let log = hw.mem.take_log();
@@ -213,8 +212,10 @@ impl<C: PeriodController> SimObserver for PeriodAccounting<C> {
         self.next_period = t + self.period_secs;
         self.p_acc = hw.mem.accesses();
         self.p_pages = hw.disk_pages;
-        self.p_req = hw.disk.requests();
-        self.p_busy = hw.disk.busy_secs();
+        self.p_req = hw.disks.requests();
+        for (p_busy, disk) in self.p_busy.iter_mut().zip(hw.disks.disks()) {
+            *p_busy = disk.busy_secs();
+        }
         self.p_delayed = 0;
         self.p_energy = hw.snapshot_energy();
         hw.period_disk_times.clear();
@@ -241,7 +242,7 @@ impl<C: PeriodController> SimObserver for PeriodAccounting<C> {
             p_acc: self.p_acc,
             p_pages: self.p_pages,
             p_req: self.p_req,
-            p_busy: self.p_busy,
+            p_busy: self.p_busy.clone(),
             p_delayed: self.p_delayed,
             p_energy: self.p_energy,
             rows: self.rows.clone(),
@@ -446,9 +447,9 @@ pub struct EnergySummary {
     pub hits: u64,
     /// Pages moved between disk and memory.
     pub disk_page_accesses: u64,
-    /// Disk requests (user + background).
+    /// Disk requests (user + background; sub-requests count one by one).
     pub disk_requests: u64,
-    /// Fraction of the window the disk was busy.
+    /// Fraction of the window the disks were busy (mean over members).
     pub utilization: f64,
     /// Disk spin-downs inside the window.
     pub spin_downs: u64,
@@ -478,16 +479,18 @@ impl EnergyMeter {
 
     /// Measured-window totals; `hw` must already be settled at the run's
     /// end (the engine guarantees this) and `window` is the measured
-    /// duration.
+    /// duration. Utilization is the mean over member disks.
     pub fn finalize(&self, hw: &HwState, window: f64) -> EnergySummary {
+        let disks = hw.disks.len() as f64;
         EnergySummary {
             energy: hw.snapshot_energy().since(&self.baseline),
             cache_accesses: hw.mem.accesses() - self.acc,
             hits: hw.mem.hits() - self.hits,
             disk_page_accesses: hw.disk_pages - self.pages,
-            disk_requests: hw.disk.requests() - self.req,
-            utilization: (hw.disk.busy_secs() - self.busy) / window.max(f64::MIN_POSITIVE),
-            spin_downs: hw.disk.spin_downs() - self.spins,
+            disk_requests: hw.disks.requests() - self.req,
+            utilization: (hw.disks.busy_secs() - self.busy)
+                / (disks * window.max(f64::MIN_POSITIVE)),
+            spin_downs: hw.disks.spin_downs() - self.spins,
         }
     }
 }
@@ -511,9 +514,9 @@ impl SimObserver for EnergyMeter {
             self.baseline = hw.snapshot_energy();
             self.acc = hw.mem.accesses();
             self.hits = hw.mem.hits();
-            self.req = hw.disk.requests();
-            self.busy = hw.disk.busy_secs();
-            self.spins = hw.disk.spin_downs();
+            self.req = hw.disks.requests();
+            self.busy = hw.disks.busy_secs();
+            self.spins = hw.disks.spin_downs();
             self.pages = hw.disk_pages;
         }
     }
@@ -549,9 +552,10 @@ impl SimObserver for EnergyMeter {
 /// boundary carrying the period's traffic deltas and energy.
 ///
 /// Purely passive — it only reads the hardware state — so registering it
-/// cannot perturb the simulation; `run_simulation_source_with` registers
-/// it **last** (after the standard stack) and only when the telemetry
-/// handle is enabled, keeping the disabled path free of it entirely.
+/// cannot perturb the simulation; [`Simulation`](crate::Simulation)
+/// registers it **last** (after the standard stack) and only when the
+/// telemetry handle is enabled, keeping the disabled path free of it
+/// entirely.
 pub struct TelemetryObserver {
     telemetry: Telemetry,
     energy_base: EnergyBreakdown,

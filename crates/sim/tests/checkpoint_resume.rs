@@ -7,8 +7,8 @@ use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::{AccessLog, IdlePolicy, MemConfig, RdramModel};
 use jpmd_obs::{MemorySink, Telemetry};
 use jpmd_sim::{
-    run_simulation_full, run_simulation_source_with, CheckpointOptions, CheckpointPolicy,
-    ControlAction, PeriodController, PeriodObservation, SimCheckpoint, SimConfig, SimOutcome,
+    CheckpointOptions, CheckpointPolicy, ControlAction, PeriodController, PeriodObservation,
+    SimCheckpoint, SimConfig, SimOutcome, Simulation,
 };
 use jpmd_trace::{AccessKind, FileId, Trace, TraceRecord, WorkloadBuilder, MIB};
 use serde::{Deserialize, Serialize};
@@ -52,6 +52,7 @@ impl PeriodController for Oscillator {
         ControlAction {
             enabled_banks: Some(4 + (self.period % 4) as u32),
             disk_timeout: Some(5.0 + self.period as f64),
+            disk_timeouts: Vec::new(),
         }
     }
 
@@ -83,16 +84,17 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
     } else {
         Telemetry::disabled()
     };
-    let baseline = run_simulation_source_with(
+    let baseline = Simulation::new(
         &config,
         spindown.clone(),
         &mut Oscillator::default(),
-        trace.source(),
-        duration,
         "ckpt-test",
-        &baseline_telemetry,
     )
-    .expect("baseline run");
+    .telemetry(&baseline_telemetry)
+    .run(trace.source(), duration)
+    .expect("baseline run")
+    .into_report()
+    .expect("baseline completes");
 
     // Interrupted run: checkpoint every period, stop at checkpoint #stop_after.
     let interrupted_sink = MemorySink::new();
@@ -107,21 +109,18 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
             captured.push(ckpt);
             captured.len() < stop_after
         };
-        run_simulation_full(
+        Simulation::new(
             &config,
             spindown.clone(),
             &mut Oscillator::default(),
-            trace.source(),
-            duration,
             "ckpt-test",
-            &interrupted_telemetry,
-            None,
-            None,
-            Some(CheckpointOptions {
-                policy: CheckpointPolicy::every(1),
-                on_checkpoint: &mut on_checkpoint,
-            }),
         )
+        .telemetry(&interrupted_telemetry)
+        .checkpoints(Some(CheckpointOptions {
+            policy: CheckpointPolicy::every(1),
+            on_checkpoint: &mut on_checkpoint,
+        }))
+        .run(trace.source(), duration)
         .expect("interrupted run")
     };
     assert_eq!(outcome, SimOutcome::Interrupted);
@@ -130,21 +129,13 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
 
     // Resume from the last checkpoint with a *fresh* controller and the
     // same source; the checkpoint must rebuild everything dynamic.
-    let resumed = run_simulation_full(
-        &config,
-        spindown,
-        &mut Oscillator::default(),
-        trace.source(),
-        duration,
-        "ckpt-test",
-        &interrupted_telemetry,
-        None,
-        Some(ckpt),
-        None,
-    )
-    .expect("resumed run")
-    .into_report()
-    .expect("resumed run completes");
+    let resumed = Simulation::new(&config, spindown, &mut Oscillator::default(), "ckpt-test")
+        .telemetry(&interrupted_telemetry)
+        .resume(Some(ckpt))
+        .run(trace.source(), duration)
+        .expect("resumed run")
+        .into_report()
+        .expect("resumed run completes");
 
     assert_eq!(baseline, resumed, "resumed report must be bit-identical");
     assert!(resumed.engine.counts.period_boundaries as usize > stop_after);
@@ -205,24 +196,20 @@ fn shutdown_flag_interrupts_at_next_boundary() {
         captured.push(ckpt);
         true // the shutdown flag, not the callback, stops the run
     };
-    let outcome = run_simulation_full(
+    let outcome = Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        trace.source(),
-        600.0,
         "shutdown-test",
-        &Telemetry::disabled(),
-        None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy {
-                every_periods: 0, // cadence disabled: only shutdown triggers
-                shutdown: Some(shutdown.clone()),
-            },
-            on_checkpoint: &mut on_checkpoint,
-        }),
     )
+    .checkpoints(Some(CheckpointOptions {
+        policy: CheckpointPolicy {
+            every_periods: 0, // cadence disabled: only shutdown triggers
+            shutdown: Some(shutdown.clone()),
+        },
+        on_checkpoint: &mut on_checkpoint,
+    }))
+    .run(trace.source(), 600.0)
     .expect("run");
     assert_eq!(outcome, SimOutcome::Interrupted);
     assert_eq!(captured.len(), 1, "one final checkpoint on shutdown");
@@ -241,37 +228,29 @@ fn tampered_checkpoint_fails_with_an_error_not_a_panic() {
         captured.push(ckpt);
         false
     };
-    run_simulation_full(
+    Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        trace.source(),
-        600.0,
         "tamper-test",
-        &Telemetry::disabled(),
-        None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
     )
+    .checkpoints(Some(CheckpointOptions {
+        policy: CheckpointPolicy::every(1),
+        on_checkpoint: &mut on_checkpoint,
+    }))
+    .run(trace.source(), 600.0)
     .expect("run");
     let mut ckpt = captured.pop().expect("one checkpoint");
     // Corrupt the hardware image wholesale.
     ckpt.engine.hw = serde::Value::Str("not a hardware snapshot".into());
-    let err = run_simulation_full(
+    let err = Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        trace.source(),
-        600.0,
         "tamper-test",
-        &Telemetry::disabled(),
-        None,
-        Some(&ckpt),
-        None,
     )
+    .resume(Some(&ckpt))
+    .run(trace.source(), 600.0)
     .expect_err("tampered checkpoint must fail to restore");
     assert!(err.to_string().contains("checkpoint restore failed"));
 }
@@ -322,16 +301,16 @@ fn resume_preserves_clamping_state() {
     let source = || UnsortedSource(records.clone().into());
     let config = config();
 
-    let baseline = run_simulation_source_with(
+    let baseline = Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        source(),
-        500.0,
         "clamp-test",
-        &Telemetry::disabled(),
     )
-    .expect("baseline");
+    .run(source(), 500.0)
+    .expect("baseline")
+    .into_report()
+    .expect("baseline completes");
     assert!(baseline.engine.records_clamped > 0, "clamping exercised");
 
     let mut captured = Vec::new();
@@ -339,35 +318,27 @@ fn resume_preserves_clamping_state() {
         captured.push(ckpt);
         false
     };
-    run_simulation_full(
+    Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        source(),
-        500.0,
         "clamp-test",
-        &Telemetry::disabled(),
-        None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(2),
-            on_checkpoint: &mut on_checkpoint,
-        }),
     )
+    .checkpoints(Some(CheckpointOptions {
+        policy: CheckpointPolicy::every(2),
+        on_checkpoint: &mut on_checkpoint,
+    }))
+    .run(source(), 500.0)
     .expect("interrupted");
     let ckpt = captured.pop().expect("checkpoint");
-    let resumed = run_simulation_full(
+    let resumed = Simulation::new(
         &config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
-        source(),
-        500.0,
         "clamp-test",
-        &Telemetry::disabled(),
-        None,
-        Some(&ckpt),
-        None,
     )
+    .resume(Some(&ckpt))
+    .run(source(), 500.0)
     .expect("resumed")
     .into_report()
     .expect("completes");

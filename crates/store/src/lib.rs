@@ -16,7 +16,7 @@
 //!   version, truncated page, checksum mismatch — instead of panics;
 //! * the [`TraceSource`](jpmd_trace::TraceSource) seam: [`TraceReader`]
 //!   plugs straight into the simulator's
-//!   [`run_simulation_source`](../jpmd_sim/fn.run_simulation_source.html),
+//!   [`Simulation::run`](../jpmd_sim/struct.Simulation.html#method.run),
 //!   producing **bit-identical** `RunReport`s to in-memory replay (the
 //!   workspace `store_stream` integration tests assert this).
 //!

@@ -57,7 +57,7 @@ impl SkippedPages {
 ///
 /// `TraceReader` implements both `Iterator<Item = Result<TraceRecord,
 /// StoreError>>` and [`TraceSource`], so it plugs straight into
-/// [`run_simulation_source`](../jpmd_sim/fn.run_simulation_source.html)
+/// [`Simulation::run`](../jpmd_sim/struct.Simulation.html#method.run)
 /// for streaming replay.
 pub struct TraceReader<R: Read> {
     input: R,
@@ -325,7 +325,7 @@ impl<R: Read> TraceSource for TraceReader<R> {
 /// Loads a whole store file into an in-memory [`Trace`].
 ///
 /// Prefer streaming ([`TraceReader`] +
-/// [`run_simulation_source`](../jpmd_sim/fn.run_simulation_source.html))
+/// [`Simulation::run`](../jpmd_sim/struct.Simulation.html#method.run))
 /// for replay; this is for tooling that needs random access (stats,
 /// synthesizer transforms, JSON conversion).
 ///

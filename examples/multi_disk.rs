@@ -10,8 +10,14 @@
 use jpmd::core::{ArrayJointPolicy, JointConfig, SimScale};
 use jpmd::disk::{Layout, SpinDownPolicy};
 use jpmd::mem::IdlePolicy;
-use jpmd::sim::{run_array_simulation, ArrayConfig, NullArrayController};
+use jpmd::sim::{ArrayConfig, NullController, RunReport, SimOutcome, Simulation};
 use jpmd::trace::{WorkloadBuilder, GIB, MIB};
+
+fn completed(outcome: SimOutcome) -> RunReport {
+    outcome
+        .into_report()
+        .expect("no checkpoint policy was installed")
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = SimScale::default();
@@ -34,17 +40,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (Layout::Partitioned, "partitioned"),
             (Layout::Striped { stripe_pages: 16 }, "striped"),
         ] {
-            let array = ArrayConfig { disks, layout };
+            sim.array = ArrayConfig { disks, layout };
             // Per-disk 2-competitive baseline…
-            let base = run_array_simulation(
+            let base = Simulation::new(
                 &sim,
-                &array,
                 SpinDownPolicy::two_competitive(&sim.disk_power),
-                &mut NullArrayController,
-                &trace,
-                2.0 * 3600.0,
+                NullController,
                 "2T",
-            );
+            )
+            .run(trace.source(), 2.0 * 3600.0)?;
             // …versus the array-aware joint policy.
             let mut controller = ArrayJointPolicy::new(
                 JointConfig::from_sim(&sim),
@@ -52,15 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 layout,
                 trace.total_pages(),
             );
-            let joint = run_array_simulation(
+            let joint = Simulation::new(
                 &sim,
-                &array,
                 SpinDownPolicy::controlled(f64::INFINITY),
                 &mut controller,
-                &trace,
-                2.0 * 3600.0,
                 "joint",
-            );
+            )
+            .run(trace.source(), 2.0 * 3600.0)?;
+            let [base, joint] = [base, joint].map(completed);
             for r in [&base, &joint] {
                 println!(
                     "{:28} {:>10.1} {:>10.1} {:>8} {:>8.2}",

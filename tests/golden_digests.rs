@@ -7,6 +7,10 @@
 //! to keep behaviour keeps every digest. A change meant to alter it pastes
 //! the regenerated table that a failing run prints.
 //!
+//! Runs whose measured window is a whole number of periods (all of W1,
+//! and the joint array run) also check that their post-warm-up period
+//! rows add up to the report's totals.
+//!
 //! The digests were computed on x86_64 Linux. The reports hold f64 results
 //! that depend on that platform's libm.
 
@@ -15,7 +19,7 @@ use std::collections::BTreeMap;
 use jpmd::core::{methods, ArrayJointPolicy, DiskPolicyKind, JointConfig, MethodSpec, SimScale};
 use jpmd::disk::{Layout, SpinDownPolicy};
 use jpmd::mem::IdlePolicy;
-use jpmd::sim::{run_array_simulation, ArrayConfig, RunReport};
+use jpmd::sim::{ArrayConfig, RunReport, Simulation};
 use jpmd::store::crc32;
 use jpmd::trace::{Trace, WorkloadBuilder, GIB, MIB};
 
@@ -185,7 +189,7 @@ const GOLDEN: &[(&str, &str, u64, u32)] = &[
     ("2TDSC-16GB", "w3", 2, 0xc60b48d7),
     ("ADCD-16GB", "w3", 2, 0x3cbc806b),
     ("ADDSC-16GB", "w3", 2, 0xfa8d7171),
-    ("joint-array", "multi-disk", 7, 0xf22fac92),
+    ("joint-array", "multi-disk", 7, 0x536d4228),
 ];
 
 fn scale() -> SimScale {
@@ -240,26 +244,66 @@ fn joint_array() -> Case {
     let mut sim = scale.sim_config(IdlePolicy::Nap, scale.total_banks());
     sim.warmup_secs = 900.0;
     sim.period_secs = 300.0;
-    let array = ArrayConfig {
+    sim.array = ArrayConfig {
         disks: 4,
         layout: Layout::Partitioned,
     };
-    let mut controller = ArrayJointPolicy::new(
+    let controller = ArrayJointPolicy::new(
         JointConfig::from_sim(&sim),
-        array.disks,
-        array.layout,
+        sim.array.disks,
+        sim.array.layout,
         trace.total_pages(),
     );
-    let report = run_array_simulation(
+    let report = Simulation::new(
         &sim,
-        &array,
         SpinDownPolicy::controlled(f64::INFINITY),
-        &mut controller,
-        &trace,
-        DURATION,
+        controller,
         "joint-array",
-    );
+    )
+    .run(trace.source(), DURATION)
+    .expect("in-memory trace sources cannot fail")
+    .into_report()
+    .expect("no checkpoint policy was installed");
+    check_period_sums(&report, sim.warmup_secs);
     ("joint-array".to_string(), "multi-disk", 7, digest(report))
+}
+
+/// The post-warm-up period rows of `report` must add up to its totals:
+/// delayed accesses to the long-latency count, cache accesses to the
+/// report's, and period energy to the measured energy. Only meaningful
+/// when the measured window is a whole number of periods — no row covers
+/// a trailing partial period.
+fn check_period_sums(report: &RunReport, warmup: f64) {
+    let rows: Vec<_> = report
+        .periods
+        .iter()
+        .map(|row| &row.observation)
+        .filter(|obs| obs.start >= warmup)
+        .collect();
+    assert!(
+        !rows.is_empty(),
+        "{}: no measured period rows",
+        report.label
+    );
+    let delayed: u64 = rows.iter().map(|obs| obs.delayed_page_accesses).sum();
+    assert_eq!(
+        delayed, report.long_latency_count,
+        "{}: period delayed accesses",
+        report.label
+    );
+    let accesses: u64 = rows.iter().map(|obs| obs.cache_accesses).sum();
+    assert_eq!(
+        accesses, report.cache_accesses,
+        "{}: period cache accesses",
+        report.label
+    );
+    let energy: f64 = rows.iter().map(|obs| obs.energy_total_j).sum();
+    let total = report.energy.total_j();
+    assert!(
+        (energy - total).abs() <= 1e-9 * total.abs(),
+        "{}: period energy {energy} J vs report {total} J",
+        report.label
+    );
 }
 
 fn replay(scale: &SimScale, workload: &'static Workload, seed: u64) -> Vec<Case> {
@@ -275,6 +319,9 @@ fn replay(scale: &SimScale, workload: &'static Workload, seed: u64) -> Vec<Case>
                 workload.duration,
                 workload.period,
             );
+            if workload.name == "w1" {
+                check_period_sums(&report, workload.warmup);
+            }
             (spec.label, workload.name, seed, digest(report))
         })
         .collect()

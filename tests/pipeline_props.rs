@@ -4,7 +4,7 @@
 //! bounded by the models' extremes, and baseline dominance relations.
 
 use jpmd::core::{methods, SimScale};
-use jpmd::sim::RunReport;
+use jpmd::sim::{RunReport, Simulation};
 use jpmd::trace::{FileId, Trace, TraceRecord};
 use proptest::prelude::*;
 
@@ -133,14 +133,11 @@ proptest! {
         let spec = methods::always_on(&scale);
         let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
         sim.sync_interval_secs = 45.0;
-        let r = jpmd::sim::run_simulation(
-            &sim,
-            spec.spindown.clone(),
-            &mut jpmd::sim::NullController,
-            &trace,
-            duration,
-            "writes",
-        );
+        let r = Simulation::new(&sim, spec.spindown.clone(), &mut jpmd::sim::NullController, "writes")
+.run(trace.source(), duration)
+.expect("in-memory trace sources cannot fail")
+.into_report()
+.expect("no checkpoint policy was installed");
         // Conservation does not hold verbatim under writes (flushes add
         // disk pages; write-allocates avoid reads), but bounds do:
         prop_assert!(r.hits <= r.cache_accesses);
@@ -150,14 +147,11 @@ proptest! {
         // With the daemon off, deferring can only reduce disk traffic.
         let mut quiet = sim;
         quiet.sync_interval_secs = f64::INFINITY;
-        let q = jpmd::sim::run_simulation(
-            &quiet,
-            spec.spindown.clone(),
-            &mut jpmd::sim::NullController,
-            &trace,
-            duration,
-            "writes-nosync",
-        );
+        let q = Simulation::new(&quiet, spec.spindown.clone(), &mut jpmd::sim::NullController, "writes-nosync")
+.run(trace.source(), duration)
+.expect("in-memory trace sources cannot fail")
+.into_report()
+.expect("no checkpoint policy was installed");
         prop_assert!(q.disk_page_accesses <= r.disk_page_accesses);
     }
 
