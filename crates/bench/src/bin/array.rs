@@ -3,12 +3,12 @@
 //!
 //! Expected shape: the partitioned layout consolidates idleness on cold
 //! members (they spin down; cf. Pinheiro & Bianchini, paper ref. \[31\]),
-//! while striping keeps every member awake; the array-aware joint policy
-//! beats per-disk static timeouts on total energy at equal or better
-//! latency. Pass `--quick` for a shorter run.
+//! while striping keeps every member awake; the joint policy, deciding
+//! each member's timeout, beats per-disk static timeouts on total energy
+//! at a higher long-latency rate. Pass `--quick` for a shorter run.
 
 use jpmd_bench::{experiments, write_json, ExperimentConfig, Table, WorkloadPoint};
-use jpmd_core::{ArrayJointPolicy, JointConfig};
+use jpmd_core::{JointConfig, JointPolicy};
 use jpmd_disk::{Layout, SpinDownPolicy};
 use jpmd_mem::IdlePolicy;
 use jpmd_sim::{ArrayConfig, NullController, RunReport, Simulation};
@@ -40,21 +40,13 @@ fn main() -> std::io::Result<()> {
                 method,
             )
             .run(trace.source(), cfg.duration_secs),
-            "joint" => {
-                let controller = ArrayJointPolicy::new(
-                    JointConfig::from_sim(&sim),
-                    disks,
-                    layout,
-                    trace.total_pages(),
-                );
-                Simulation::new(
-                    &sim,
-                    SpinDownPolicy::controlled(f64::INFINITY),
-                    controller,
-                    method,
-                )
-                .run(trace.source(), cfg.duration_secs)
-            }
+            "joint" => Simulation::new(
+                &sim,
+                SpinDownPolicy::controlled(f64::INFINITY),
+                JointPolicy::new(JointConfig::from_sim(&sim)),
+                method,
+            )
+            .run(trace.source(), cfg.duration_secs),
             other => unreachable!("unknown method {other}"),
         };
         outcome

@@ -19,4 +19,4 @@ pub mod runner;
 
 pub use experiments::{ExperimentConfig, WorkloadPoint};
 pub use report::{write_json, Row, Table};
-pub use runner::{run_queue, run_queue_supervised, MethodError, TaskContext, TaskSupervision};
+pub use runner::{run_queue, MethodError};

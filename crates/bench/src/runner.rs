@@ -7,19 +7,12 @@
 //! did. A panicking task is captured with [`std::panic::catch_unwind`] and
 //! surfaces as an `Err` carrying the panic message — the queue keeps
 //! draining, so one diverging method no longer aborts a whole figure.
-//!
-//! [`run_queue_supervised`] adds a supervisor on top: per-task deadlines,
-//! hung-worker detection through a cooperative heartbeat, and
-//! retry-on-panic so a task that checkpoints (see `jpmd-ckpt`) gets a
-//! chance to resume from its last snapshot before the run is declared a
-//! [`MethodError`].
 
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
 
 /// A method run that panicked instead of producing a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,276 +129,6 @@ where
         .collect()
 }
 
-/// How [`run_queue_supervised`] watches its workers.
-///
-/// All limits are cooperative: a worker thread cannot be killed, so a
-/// task that blows its deadline or goes silent past the heartbeat
-/// timeout is *flagged* by the monitor (and reported the moment it
-/// returns), and a genuinely wedged task still wedges its worker — the
-/// supervisor's job is to make that visible, not to pretend `pthread_kill`
-/// is safe.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaskSupervision {
-    /// Wall-clock budget for one attempt; overrun becomes a
-    /// [`MethodError`] even if the attempt eventually produced a result.
-    pub deadline: Option<Duration>,
-    /// Longest tolerated silence between [`TaskContext::beat`] calls
-    /// (measured from attempt start for a task that never beats).
-    pub heartbeat_timeout: Option<Duration>,
-    /// Extra attempts after a panic. The retry closure sees an
-    /// incremented [`TaskContext::attempt`], which is its cue to resume
-    /// from its latest checkpoint instead of starting cold.
-    pub retries: u32,
-}
-
-impl TaskSupervision {
-    /// No deadline, no heartbeat, no retries — plain `run_queue` behavior
-    /// with typed errors.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Sets the per-attempt deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the heartbeat silence limit.
-    #[must_use]
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the number of retries after a panic.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-}
-
-const TRIP_NONE: u8 = 0;
-const TRIP_DEADLINE: u8 = 1;
-const TRIP_HEARTBEAT: u8 = 2;
-
-/// Per-item supervision state shared between a worker and the monitor.
-/// Times are milliseconds since the queue started; `u64::MAX` in
-/// `started_ms` means "no attempt running".
-struct Slot {
-    started_ms: AtomicU64,
-    last_beat_ms: AtomicU64,
-    tripped: AtomicU8,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            started_ms: AtomicU64::new(u64::MAX),
-            last_beat_ms: AtomicU64::new(0),
-            tripped: AtomicU8::new(TRIP_NONE),
-        }
-    }
-
-    fn arm(&self, now_ms: u64) {
-        self.last_beat_ms.store(now_ms, Ordering::Relaxed);
-        self.tripped.store(TRIP_NONE, Ordering::Relaxed);
-        self.started_ms.store(now_ms, Ordering::Relaxed);
-    }
-
-    fn disarm(&self) {
-        self.started_ms.store(u64::MAX, Ordering::Relaxed);
-    }
-
-    fn trip(&self, reason: u8) {
-        let _ =
-            self.tripped
-                .compare_exchange(TRIP_NONE, reason, Ordering::Relaxed, Ordering::Relaxed);
-    }
-}
-
-/// Handle a supervised task uses to talk back to the supervisor.
-pub struct TaskContext<'a> {
-    slot: &'a Slot,
-    epoch: Instant,
-    attempt: u32,
-}
-
-impl TaskContext<'_> {
-    /// Reports liveness; call at least once per heartbeat window (a
-    /// period boundary or checkpoint callback is the natural place).
-    pub fn beat(&self) {
-        self.slot
-            .last_beat_ms
-            .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-    }
-
-    /// Which attempt this is, starting at 0. A nonzero attempt follows a
-    /// panic — resume from the latest checkpoint if one exists.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-}
-
-/// Like [`run_queue`], but every task runs under a [`TaskSupervision`]
-/// contract and failures come back as typed [`MethodError`]s (labelled
-/// via `label_of`). A panicking attempt is retried up to
-/// `supervision.retries` times with an incremented
-/// [`TaskContext::attempt`]; deadline and heartbeat trips are terminal
-/// (retrying a task that is too slow will only be slow again).
-pub fn run_queue_supervised<T, R, F, L>(
-    items: &[T],
-    workers: usize,
-    supervision: TaskSupervision,
-    label_of: L,
-    task: F,
-) -> Vec<Result<R, MethodError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &TaskContext<'_>) -> R + Sync,
-    L: Fn(&T) -> String + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let epoch = Instant::now();
-    let slots: Vec<Slot> = (0..n).map(|_| Slot::new()).collect();
-    let next = AtomicUsize::new(0);
-    let undelivered = AtomicUsize::new(n);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        // The monitor: flags armed slots that blow the deadline or go
-        // silent, so a wedged worker is detected while it is wedged.
-        {
-            let slots = &slots;
-            let undelivered = &undelivered;
-            scope.spawn(move || {
-                while undelivered.load(Ordering::Relaxed) > 0 {
-                    let now = epoch.elapsed().as_millis() as u64;
-                    for slot in slots {
-                        let started = slot.started_ms.load(Ordering::Relaxed);
-                        if started == u64::MAX {
-                            continue;
-                        }
-                        if let Some(deadline) = supervision.deadline {
-                            if now.saturating_sub(started) > deadline.as_millis() as u64 {
-                                slot.trip(TRIP_DEADLINE);
-                            }
-                        }
-                        if let Some(hb) = supervision.heartbeat_timeout {
-                            let last = slot.last_beat_ms.load(Ordering::Relaxed);
-                            if now.saturating_sub(last) > hb.as_millis() as u64 {
-                                slot.trip(TRIP_HEARTBEAT);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let undelivered = &undelivered;
-            let slots = &slots;
-            let task = &task;
-            let label_of = &label_of;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let slot = &slots[i];
-                let mut attempt = 0u32;
-                let result = loop {
-                    let started = epoch.elapsed();
-                    slot.arm(started.as_millis() as u64);
-                    let ctx = TaskContext {
-                        slot,
-                        epoch,
-                        attempt,
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| task(&items[i], &ctx)));
-                    let elapsed = epoch.elapsed() - started;
-                    let silence_ms = (epoch.elapsed().as_millis() as u64)
-                        .saturating_sub(slot.last_beat_ms.load(Ordering::Relaxed));
-                    slot.disarm();
-                    let tripped = slot.tripped.load(Ordering::Relaxed);
-                    match outcome {
-                        Ok(value) => {
-                            // Completion-time checks back the monitor up,
-                            // so detection never depends on poll timing.
-                            let over_deadline = supervision.deadline.is_some_and(|d| elapsed > d)
-                                || tripped == TRIP_DEADLINE;
-                            let hb_lost = supervision
-                                .heartbeat_timeout
-                                .is_some_and(|hb| silence_ms > hb.as_millis() as u64)
-                                || tripped == TRIP_HEARTBEAT;
-                            if over_deadline {
-                                break Err(MethodError::new(
-                                    label_of(&items[i]),
-                                    format!(
-                                        "deadline exceeded: attempt ran {:.3} s (budget {:.3} s)",
-                                        elapsed.as_secs_f64(),
-                                        supervision.deadline.unwrap_or(elapsed).as_secs_f64()
-                                    ),
-                                ));
-                            }
-                            if hb_lost {
-                                break Err(MethodError::new(
-                                    label_of(&items[i]),
-                                    format!(
-                                        "heartbeat lost: silent for {:.3} s (limit {:.3} s)",
-                                        silence_ms as f64 / 1e3,
-                                        supervision
-                                            .heartbeat_timeout
-                                            .unwrap_or_default()
-                                            .as_secs_f64()
-                                    ),
-                                ));
-                            }
-                            break Ok(value);
-                        }
-                        Err(payload) => {
-                            let message = panic_message(payload);
-                            if attempt < supervision.retries {
-                                attempt += 1;
-                                continue;
-                            }
-                            break Err(MethodError::new(
-                                label_of(&items[i]),
-                                format!(
-                                    "panicked on attempt {}/{}: {message}",
-                                    attempt + 1,
-                                    supervision.retries + 1
-                                ),
-                            ));
-                        }
-                    }
-                };
-                let sent = tx.send((i, result));
-                undelivered.fetch_sub(1, Ordering::Relaxed);
-                if sent.is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<Result<R, MethodError>>> = (0..n).map(|_| None).collect();
-    for (i, result) in rx {
-        out[i] = Some(result);
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every supervised item must deliver a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,96 +178,6 @@ mod tests {
             results.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
             vec![10, 20, 30]
         );
-    }
-
-    fn supervised<T: Sync, R: Send>(
-        items: &[T],
-        supervision: TaskSupervision,
-        task: impl Fn(&T, &TaskContext<'_>) -> R + Sync,
-    ) -> Vec<Result<R, MethodError>> {
-        run_queue_supervised(items, 2, supervision, |_| "task".to_string(), task)
-    }
-
-    #[test]
-    fn supervised_tasks_succeed_without_limits() {
-        let items: Vec<u64> = (0..5).collect();
-        let results = supervised(&items, TaskSupervision::none(), |&x, _| x * 2);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2));
-        }
-    }
-
-    #[test]
-    fn a_panicking_attempt_is_retried_and_resumes() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let items = [7u64];
-        let results = supervised(
-            &items,
-            TaskSupervision::none().with_retries(2),
-            |&x, ctx| {
-                // Attempts 0 and 1 die; attempt 2 "resumes" and reports
-                // which attempt carried it home.
-                assert!(ctx.attempt() >= 2, "attempt {} crashed", ctx.attempt());
-                (x, ctx.attempt())
-            },
-        );
-        std::panic::set_hook(prev);
-        assert_eq!(results[0].as_ref().unwrap(), &(7, 2));
-    }
-
-    #[test]
-    fn retries_exhausted_is_a_typed_method_error() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let items = [1u64];
-        let results = supervised(
-            &items,
-            TaskSupervision::none().with_retries(1),
-            |_, _| -> u64 { panic!("always broken") },
-        );
-        std::panic::set_hook(prev);
-        let e = results[0].as_ref().unwrap_err();
-        assert_eq!(e.label, "task");
-        assert!(e.message.contains("attempt 2/2"), "{}", e.message);
-        assert!(e.message.contains("always broken"), "{}", e.message);
-    }
-
-    #[test]
-    fn deadline_overrun_is_reported() {
-        let items = [1u64];
-        let results = supervised(
-            &items,
-            TaskSupervision::none().with_deadline(Duration::from_millis(10)),
-            |&x, _| {
-                std::thread::sleep(Duration::from_millis(60));
-                x
-            },
-        );
-        let e = results[0].as_ref().unwrap_err();
-        assert!(e.message.contains("deadline exceeded"), "{}", e.message);
-    }
-
-    #[test]
-    fn a_silent_task_trips_the_heartbeat_and_a_beating_one_does_not() {
-        let supervision = TaskSupervision::none().with_heartbeat_timeout(Duration::from_millis(40));
-        let items = [1u64];
-
-        let silent = supervised(&items, supervision, |&x, _| {
-            std::thread::sleep(Duration::from_millis(120));
-            x
-        });
-        let e = silent[0].as_ref().unwrap_err();
-        assert!(e.message.contains("heartbeat lost"), "{}", e.message);
-
-        let beating = supervised(&items, supervision, |&x, ctx| {
-            for _ in 0..12 {
-                std::thread::sleep(Duration::from_millis(10));
-                ctx.beat();
-            }
-            x
-        });
-        assert_eq!(beating[0].as_ref().unwrap(), &1);
     }
 
     #[test]

@@ -20,15 +20,15 @@
 //!   produced from the allocation, so the coordinated fleet run is a
 //!   deterministic, checkpointable simulation like any other.
 //!
-//! The seam lives next to `multidisk.rs` deliberately: `ArrayJointPolicy`
-//! coordinates disks *inside one engine*, this module coordinates budget
-//! *across engines*.
+//! The seam lives next to the joint policy deliberately: over a disk
+//! array [`JointPolicy`] coordinates disks *inside one engine*, this module
+//! coordinates budget *across engines*.
 
 use serde::{Deserialize, Serialize};
 
 use jpmd_mem::AccessLog;
 use jpmd_obs::CandidatePower;
-use jpmd_sim::{ControlAction, PeriodController, PeriodObservation};
+use jpmd_sim::{ArrayConfig, ControlAction, PeriodController, PeriodObservation};
 
 use crate::JointPolicy;
 
@@ -84,6 +84,10 @@ impl BiddingJointPolicy {
 }
 
 impl PeriodController for BiddingJointPolicy {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        self.inner.on_start(array, total_pages);
+    }
+
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction {
         let action = self.inner.on_period_end(observation, log);
         let chosen = PlanPoint {

@@ -2,11 +2,11 @@ use serde::{Deserialize, Serialize};
 
 use jpmd_disk::{DiskPowerModel, ServiceModel};
 use jpmd_mem::{AccessLog, RdramModel};
-use jpmd_sim::{ControlAction, PeriodController, PeriodObservation, SimConfig};
+use jpmd_sim::{ArrayConfig, ControlAction, PeriodController, PeriodObservation, SimConfig};
 use jpmd_stats::fit;
 
 use crate::error::{PolicyError, PolicyFailure};
-use crate::predict::{candidate_banks, predict_sizes, SizePrediction};
+use crate::predict::{candidate_banks, predict_sizes_routed, SizePrediction};
 use crate::timeout::{disk_static_power, optimal_timeout, perf_constrained_timeout};
 
 /// Configuration of the joint power manager (paper Table II).
@@ -73,6 +73,12 @@ impl JointConfig {
 
 /// One enumerated candidate with its estimated power and chosen timeout —
 /// exposed for tests, ablations, and the experiment harness's diagnostics.
+///
+/// On a disk array every member disk gets its own prediction, fit and
+/// timeout; the evaluation sums the members' accesses, idle intervals and
+/// disk power, reports the busiest member's utilization, and is feasible
+/// only when every member is. The timeout and the Pareto fit are the
+/// first member's (the action names every member's timeout).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CandidateEvaluation {
     /// Memory size, banks.
@@ -87,7 +93,7 @@ pub struct CandidateEvaluation {
     pub mem_power_w: f64,
     /// Estimated disk power (static + transition + dynamic), W.
     pub disk_power_w: f64,
-    /// Estimated disk utilization.
+    /// Estimated disk utilization (the busiest member's).
     pub utilization: f64,
     /// Predicted mean disk response time (M/D/1 over the utilization
     /// estimate), s.
@@ -153,6 +159,16 @@ impl CandidateEvaluation {
 ///    ≤ `U`; ties go to the smaller memory), resizing the cache and
 ///    setting the disk timeout accordingly.
 ///
+/// The run tells the policy which disks it drives
+/// ([`PeriodController::on_start`]); a policy that is never started
+/// manages one disk. Over an array (the paper's §VI multi-disk
+/// extension) the shared cache is still sized once, but the predicted
+/// miss stream is routed to the member disks by the array's layout, and
+/// each member gets its own Pareto fit and eq. (5)/(6) timeout, with the
+/// delayed-request budget split evenly across members. The policy then
+/// minimizes memory power plus the members' summed disk power subject to
+/// every member's utilization staying under `U`.
+///
 /// # Example
 ///
 /// ```
@@ -174,6 +190,8 @@ impl CandidateEvaluation {
 #[derive(Debug, Clone)]
 pub struct JointPolicy {
     config: JointConfig,
+    array: ArrayConfig,
+    total_pages: u64,
     last_evaluations: Vec<CandidateEvaluation>,
     telemetry: jpmd_obs::Telemetry,
     period: u64,
@@ -245,6 +263,8 @@ impl JointPolicy {
         )?;
         Ok(Self {
             config,
+            array: ArrayConfig::default(),
+            total_pages: 1,
             last_evaluations: Vec::new(),
             telemetry,
             period: 0,
@@ -262,66 +282,30 @@ impl JointPolicy {
         &self.last_evaluations
     }
 
-    /// Evaluates one candidate size: timeout choice and power estimate.
+    /// Evaluates one candidate size over its member disks' predictions:
+    /// each member's timeout choice (pushed to `timeouts`, in member
+    /// order) and the power estimate. Also returns whether any member's
+    /// idle intervals could be fitted.
     fn evaluate(
         &self,
         banks: u32,
-        pred: &SizePrediction,
+        members: &[SizePrediction],
         cache_accesses: u64,
         avg_run_pages: f64,
-    ) -> CandidateEvaluation {
+        timeouts: &mut Vec<f64>,
+    ) -> (CandidateEvaluation, bool) {
         let cfg = &self.config;
         let t = cfg.period_secs;
         let p = &cfg.disk_power;
+        // Eq. (6)'s delayed-request budget, split evenly across members.
+        let share = (cache_accesses / members.len() as u64).max(1);
 
-        // Pareto fit over the predicted idle intervals.
-        let pareto = pred
-            .idle_mean_secs()
-            .and_then(|mean| fit::pareto_from_mean(mean, cfg.window_secs).ok());
-
-        // Timeout: eq. (5) raised to the eq. (6) bound.
-        let (timeout, disk_static_w) = match (&pareto, pred.disk_accesses) {
-            (Some(dist), nd) if nd > 0 => {
-                let mut to = optimal_timeout(dist, p);
-                if cfg.enforce_performance {
-                    let bound = perf_constrained_timeout(
-                        dist,
-                        p,
-                        pred.idle_count,
-                        nd,
-                        cache_accesses,
-                        t,
-                        cfg.long_latency_secs,
-                        cfg.delay_ratio_limit,
-                    );
-                    to = to.max(bound);
-                }
-                let to = to.max(cfg.window_secs);
-                (to, disk_static_power(dist, p, pred.idle_count, to, t))
-            }
-            (_, 0) => {
-                // No predicted disk accesses: the disk sleeps essentially
-                // the whole period after one final timeout.
-                let to = p.break_even_s();
-                (to, p.static_w() * (to + p.break_even_s()) / t)
-            }
-            _ => {
-                // Misses but no aggregated idleness: the disk never gets a
-                // chance to spin down.
-                (p.break_even_s(), p.static_w())
-            }
-        };
-
-        // Disk dynamic power from the utilization estimate (paper §V-A:
-        // utilization × peak dynamic power, service times from the
-        // request-size-indexed bandwidth table).
+        // Service time from the request-size-indexed bandwidth table (paper
+        // §V-A); every member serves the same observed run length.
         let run_pages = avg_run_pages.max(1.0);
-        let requests = pred.disk_accesses as f64 / run_pages;
         let service = cfg
             .disk_service
             .expected_service_time((run_pages * cfg.page_mb() * 1024.0 * 1024.0) as u64);
-        let utilization = requests * service / t;
-        let disk_dynamic_w = utilization.min(1.0) * p.dynamic_peak_w();
 
         // Memory power: static per enabled bank plus the (size-independent)
         // dynamic term.
@@ -329,22 +313,97 @@ impl JointPolicy {
         let mem_dynamic_w =
             cache_accesses as f64 * cfg.page_mb() * cfg.mem_model.dynamic_j_per_mb() / t;
 
-        let feasible = !cfg.enforce_performance || utilization <= cfg.util_limit;
-        let (pareto_alpha, pareto_beta) = pareto
-            .as_ref()
-            .map_or((0.0, 0.0), |d| (d.shape(), d.scale()));
-        CandidateEvaluation {
+        let mut eval = CandidateEvaluation {
             banks,
-            disk_accesses: pred.disk_accesses,
-            idle_count: pred.idle_count,
-            timeout_secs: timeout,
+            disk_accesses: 0,
+            idle_count: 0,
+            timeout_secs: 0.0,
             mem_power_w: mem_static_w + mem_dynamic_w,
-            disk_power_w: disk_static_w + disk_dynamic_w,
-            utilization,
-            predicted_latency_secs: crate::timeout::predicted_response_time(service, utilization),
-            feasible,
-            pareto_alpha,
-            pareto_beta,
+            disk_power_w: 0.0,
+            utilization: 0.0,
+            predicted_latency_secs: 0.0,
+            feasible: true,
+            pareto_alpha: 0.0,
+            pareto_beta: 0.0,
+        };
+        let mut fitted = false;
+        for (d, pred) in members.iter().enumerate() {
+            // Pareto fit over the member's predicted idle intervals.
+            let pareto = pred
+                .idle_mean_secs()
+                .and_then(|mean| fit::pareto_from_mean(mean, cfg.window_secs).ok());
+
+            // Timeout: eq. (5) raised to the eq. (6) bound.
+            let (timeout, disk_static_w) = match (&pareto, pred.disk_accesses) {
+                (Some(dist), nd) if nd > 0 => {
+                    let mut to = optimal_timeout(dist, p);
+                    if cfg.enforce_performance {
+                        let bound = perf_constrained_timeout(
+                            dist,
+                            p,
+                            pred.idle_count,
+                            nd,
+                            share,
+                            t,
+                            cfg.long_latency_secs,
+                            cfg.delay_ratio_limit,
+                        );
+                        to = to.max(bound);
+                    }
+                    let to = to.max(cfg.window_secs);
+                    (to, disk_static_power(dist, p, pred.idle_count, to, t))
+                }
+                (_, 0) => {
+                    // No predicted disk accesses: the disk sleeps essentially
+                    // the whole period after one final timeout.
+                    let to = p.break_even_s();
+                    (to, p.static_w() * (to + p.break_even_s()) / t)
+                }
+                _ => {
+                    // Misses but no aggregated idleness: the disk never gets
+                    // a chance to spin down.
+                    (p.break_even_s(), p.static_w())
+                }
+            };
+
+            // Disk dynamic power from the utilization estimate (paper §V-A:
+            // utilization × peak dynamic power).
+            let requests = pred.disk_accesses as f64 / run_pages;
+            let utilization = requests * service / t;
+            eval.disk_power_w += disk_static_w + utilization.min(1.0) * p.dynamic_peak_w();
+
+            eval.disk_accesses += pred.disk_accesses;
+            eval.idle_count += pred.idle_count;
+            eval.feasible &= !cfg.enforce_performance || utilization <= cfg.util_limit;
+            if d == 0 {
+                eval.timeout_secs = timeout;
+                eval.utilization = utilization;
+                (eval.pareto_alpha, eval.pareto_beta) = pareto
+                    .as_ref()
+                    .map_or((0.0, 0.0), |dist| (dist.shape(), dist.scale()));
+            } else {
+                eval.utilization = eval.utilization.max(utilization);
+            }
+            fitted |= pareto.is_some();
+            timeouts.push(timeout);
+        }
+        eval.predicted_latency_secs =
+            crate::timeout::predicted_response_time(service, eval.utilization);
+        (eval, fitted)
+    }
+
+    /// The action applying `timeouts`, one per member disk: the first
+    /// member's is `disk_timeout`, and an array's action also names every
+    /// member's (a one-disk action leaves `disk_timeouts` empty).
+    fn member_action(enabled_banks: Option<u32>, timeouts: &[f64]) -> ControlAction {
+        ControlAction {
+            enabled_banks,
+            disk_timeout: timeouts.first().copied(),
+            disk_timeouts: if timeouts.len() > 1 {
+                timeouts.to_vec()
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -367,7 +426,7 @@ impl JointPolicy {
     /// * [`PolicyError::NonFiniteEnergy`] — a candidate's power estimate
     ///   came out NaN/∞, poisoning the comparison.
     /// * [`PolicyError::UnfittablePareto`] — idle intervals were predicted
-    ///   but no candidate's tail could be fitted.
+    ///   but no candidate's tail (on any member disk) could be fitted.
     /// * [`PolicyError::AllInfeasible`] — every candidate violates the
     ///   performance constraints.
     pub fn try_decide(
@@ -378,8 +437,9 @@ impl JointPolicy {
         let cfg = self.config;
         let period = self.period;
         self.period += 1;
+        let disks = self.array.disks;
         if log.is_empty() {
-            // Nothing observed: keep the memory, let the disk sleep.
+            // Nothing observed: keep the memory, let every disk sleep.
             self.last_evaluations.clear();
             let timeout = cfg.disk_power.break_even_s();
             self.telemetry
@@ -395,11 +455,7 @@ impl JointPolicy {
                     candidates: Vec::new(),
                     all_infeasible: false,
                 });
-            return Ok(ControlAction {
-                enabled_banks: None,
-                disk_timeout: Some(timeout),
-                disk_timeouts: Vec::new(),
-            });
+            return Ok(Self::member_action(None, &vec![timeout; disks]));
         }
 
         // Candidate sizes where the disk I/O changes, at bank granularity.
@@ -408,13 +464,23 @@ impl JointPolicy {
             .iter()
             .map(|&b| b as u64 * cfg.bank_pages as u64)
             .collect();
-        let predictions: Vec<SizePrediction> = predict_sizes(log, &capacities, cfg.window_secs)
-            .into_iter()
-            // Include the period-boundary idle gaps: without them, low-miss
-            // candidates look like the disk never sleeps (see
-            // SizePrediction::with_period_bounds).
-            .map(|p| p.with_period_bounds(obs.start, obs.end, cfg.window_secs))
-            .collect();
+        // Each member disk's share of the misses, routed by the array's
+        // layout exactly as the array places pages.
+        let ArrayConfig { layout, .. } = self.array;
+        let total_pages = self.total_pages;
+        let predictions: Vec<SizePrediction> = predict_sizes_routed(
+            log,
+            &capacities,
+            cfg.window_secs,
+            |page| layout.disk_of(page, disks, total_pages),
+            disks,
+        )
+        .into_iter()
+        // Include the period-boundary idle gaps: without them, low-miss
+        // candidates look like the disk never sleeps (see
+        // SizePrediction::with_period_bounds).
+        .map(|p| p.with_period_bounds(obs.start, obs.end, cfg.window_secs))
+        .collect();
 
         // Observed average run length feeds the utilization estimate.
         let avg_run_pages = if obs.disk_requests > 0 {
@@ -423,30 +489,40 @@ impl JointPolicy {
             1.0
         };
 
+        // Every member's timeout at every candidate, candidate-major.
+        let mut timeouts = Vec::with_capacity(predictions.len());
+        let mut fitted = false;
         let evaluations: Vec<CandidateEvaluation> = banks
             .iter()
-            .zip(&predictions)
-            .map(|(&b, pred)| self.evaluate(b, pred, log.len() as u64, avg_run_pages))
+            .zip(predictions.chunks_exact(disks))
+            .map(|(&b, members)| {
+                let (eval, any_fit) =
+                    self.evaluate(b, members, log.len() as u64, avg_run_pages, &mut timeouts);
+                fitted |= any_fit;
+                eval
+            })
             .collect();
 
         // Minimum-power feasible candidate; ascending order means ties and
         // equal disk I/O resolve to the smaller memory. If nothing is
         // feasible (e.g. a compulsory-miss burst while the cache warms),
-        // get as close to the constraint as possible: minimal utilization,
-        // then minimal power — the smallest memory that achieves the
-        // fewest disk accesses.
-        let best = evaluations
+        // get as close to the constraint as possible: minimal (busiest
+        // member's) utilization, then minimal power — the smallest memory
+        // that achieves the fewest disk accesses.
+        let chosen = evaluations
             .iter()
-            .filter(|e| e.feasible)
-            .min_by(|a, b| a.total_power_w().total_cmp(&b.total_power_w()))
+            .enumerate()
+            .filter(|(_, e)| e.feasible)
+            .min_by(|(_, a), (_, b)| a.total_power_w().total_cmp(&b.total_power_w()))
             .or_else(|| {
-                evaluations.iter().min_by(|a, b| {
+                evaluations.iter().enumerate().min_by(|(_, a), (_, b)| {
                     a.utilization
                         .total_cmp(&b.utilization)
                         .then(a.total_power_w().total_cmp(&b.total_power_w()))
                 })
             })
-            .copied();
+            .map(|(i, _)| i);
+        let best = chosen.map(|i| evaluations[i]);
         self.last_evaluations = evaluations;
 
         self.telemetry.emit_with(|| {
@@ -475,12 +551,11 @@ impl JointPolicy {
             }
         });
 
-        let action = match best {
-            Some(choice) => ControlAction {
-                enabled_banks: Some(choice.banks),
-                disk_timeout: Some(choice.timeout_secs),
-                disk_timeouts: Vec::new(),
-            },
+        let action = match chosen {
+            Some(i) => Self::member_action(
+                Some(self.last_evaluations[i].banks),
+                &timeouts[i * disks..(i + 1) * disks],
+            ),
             None => ControlAction::default(),
         };
 
@@ -501,7 +576,7 @@ impl JointPolicy {
         let needs_fit = evals
             .iter()
             .any(|e| e.disk_accesses > 0 && e.idle_count > 0);
-        if needs_fit && !evals.iter().any(|e| e.pareto_alpha > 0.0) {
+        if needs_fit && !fitted {
             return Err(fail(PolicyError::UnfittablePareto {
                 candidates: evals.len(),
             }));
@@ -518,9 +593,9 @@ impl JointPolicy {
 /// The dynamic state of a [`JointPolicy`], captured into checkpoints: the
 /// period counter (it numbers `PolicyDecision` telemetry events) and the
 /// most recent candidate table (exposed through
-/// [`JointPolicy::last_evaluations`]). The configuration and telemetry
-/// handle are *not* part of the snapshot — a resumed run reconstructs
-/// them the same way the original did.
+/// [`JointPolicy::last_evaluations`]). The configuration, the array and
+/// the telemetry handle are *not* part of the snapshot — a resumed run
+/// reconstructs them the same way the original did.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct JointSnapshot {
     period: u64,
@@ -528,6 +603,11 @@ struct JointSnapshot {
 }
 
 impl PeriodController for JointPolicy {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        self.array = array;
+        self.total_pages = total_pages;
+    }
+
     fn on_period_end(&mut self, obs: &PeriodObservation, log: &AccessLog) -> ControlAction {
         self.try_decide(obs, log)
             .unwrap_or_else(|failure| failure.fallback)
@@ -555,6 +635,7 @@ impl PeriodController for JointPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jpmd_disk::Layout;
     use jpmd_mem::{IdlePolicy, MemConfig, StackProfiler};
     use jpmd_stats::IntervalStats;
 
@@ -603,6 +684,14 @@ mod tests {
         log
     }
 
+    /// A policy started on `disks` members behind `layout` over a
+    /// 4096-page space.
+    fn array_policy(disks: usize, layout: Layout) -> JointPolicy {
+        let mut policy = JointPolicy::new(config(256));
+        policy.on_start(ArrayConfig { disks, layout }, 4096);
+        policy
+    }
+
     #[test]
     fn empty_log_keeps_memory_and_sleeps_disk() {
         let mut policy = JointPolicy::new(config(8));
@@ -610,6 +699,70 @@ mod tests {
         assert_eq!(action.enabled_banks, None);
         let to = action.disk_timeout.unwrap();
         assert!((to - 77.5 / 6.6).abs() < 1e-6);
+        // A policy that is never started manages one disk.
+        assert!(action.disk_timeouts.is_empty());
+    }
+
+    #[test]
+    fn a_one_disk_array_decides_like_an_unstarted_policy() {
+        let log = cyclic_log(64, 4000, 0.15);
+        let mut plain = JointPolicy::new(config(256));
+        let expected = plain.on_period_end(&observation(256), &log);
+        for layout in [Layout::Partitioned, Layout::Striped { stripe_pages: 1 }] {
+            let mut started = array_policy(1, layout);
+            assert_eq!(started.on_period_end(&observation(256), &log), expected);
+            assert_eq!(started.last_evaluations(), plain.last_evaluations());
+        }
+    }
+
+    #[test]
+    fn array_decisions_set_one_timeout_per_member() {
+        let mut policy = array_policy(3, Layout::Partitioned);
+        let action = policy.on_period_end(&observation(256), &AccessLog::new());
+        assert_eq!(action.disk_timeouts.len(), 3);
+        assert_eq!(action.disk_timeout, Some(action.disk_timeouts[0]));
+        for to in &action.disk_timeouts {
+            assert!((to - 77.5 / 6.6).abs() < 1e-6);
+        }
+
+        let mut policy = array_policy(4, Layout::Partitioned);
+        let action = policy.on_period_end(&observation(256), &cyclic_log(64, 2000, 0.3));
+        assert!(action.enabled_banks.is_some());
+        assert_eq!(action.disk_timeouts.len(), 4);
+        assert_eq!(action.disk_timeout, Some(action.disk_timeouts[0]));
+    }
+
+    #[test]
+    fn cold_partitioned_members_sleep_the_period() {
+        // Every access lands in member 0's partition: the other members
+        // are predicted idle and get the "sleep the period" break-even
+        // timeout, while member 0's comes from its own fit.
+        let mut policy = array_policy(4, Layout::Partitioned);
+        let action = policy.on_period_end(&observation(256), &cyclic_log(64, 2000, 0.3));
+        let break_even = policy.config().disk_power.break_even_s();
+        assert_ne!(action.disk_timeouts[0], break_even);
+        assert_eq!(action.disk_timeouts[1..], [break_even; 3]);
+    }
+
+    #[test]
+    fn striping_loads_every_member() {
+        let log = cyclic_log(64, 2000, 0.3);
+        let mut striped = array_policy(4, Layout::Striped { stripe_pages: 1 });
+        let action = striped.on_period_end(&observation(256), &log);
+        let break_even = striped.config().disk_power.break_even_s();
+        assert!(action.disk_timeouts.iter().all(|&to| to != break_even));
+        // The same misses over four members: the busiest member carries a
+        // quarter of what one partitioned member does.
+        let mut partitioned = array_policy(4, Layout::Partitioned);
+        partitioned.on_period_end(&observation(256), &log);
+        for (s, p) in striped
+            .last_evaluations()
+            .iter()
+            .zip(partitioned.last_evaluations())
+        {
+            assert_eq!((s.banks, s.disk_accesses), (p.banks, p.disk_accesses));
+            assert!(s.utilization < p.utilization, "{} banks", s.banks);
+        }
     }
 
     #[test]
@@ -801,5 +954,6 @@ mod tests {
             .try_decide(&observation(16), &log)
             .expect("healthy period must decide cleanly");
         assert!(action.enabled_banks.is_some());
+        assert!(action.disk_timeouts.is_empty());
     }
 }

@@ -10,12 +10,12 @@
 //! * [`JointPolicy`] — the period controller that enumerates candidate
 //!   memory sizes, fits idle-interval distributions, and jointly picks the
 //!   disk-cache size and disk spin-down timeout minimizing estimated power
-//!   under the utilization and delayed-request constraints,
+//!   under the utilization and delayed-request constraints — for one disk
+//!   or, per member, for a disk array (paper §VI),
 //! * [`methods`] — the registry of all 16 power-management methods of the
 //!   paper's evaluation, runnable over any workload via
 //!   [`methods::run_method`] (or built into a [`jpmd_sim::Simulation`] by
 //!   [`methods::simulation`]),
-//! * [`ArrayJointPolicy`] — the joint method over a disk array (paper §VI),
 //! * [`SimScale`] — the experiment-scale mapping described in `DESIGN.md`.
 //!
 //! # Symbol map (paper Table I)
@@ -70,7 +70,6 @@ mod coordinate;
 mod error;
 mod joint;
 pub mod methods;
-mod multidisk;
 pub mod predict;
 mod scale;
 pub mod timeout;
@@ -81,7 +80,6 @@ pub use coordinate::{
 pub use error::{PolicyError, PolicyFailure};
 pub use joint::{CandidateEvaluation, JointConfig, JointPolicy};
 pub use methods::{DiskPolicyKind, MethodSpec};
-pub use multidisk::{ArrayCandidate, ArrayJointPolicy};
 pub use predict::{
     candidate_banks, irm_miss_rate, predict_sizes, predict_sizes_routed, SizePrediction,
 };

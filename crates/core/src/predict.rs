@@ -78,38 +78,85 @@ const NONE_IDX: u32 = u32::MAX;
 /// result has one entry per candidate in the same order. `window` is the
 /// aggregation window `w`: only gaps strictly longer than it count as idle
 /// intervals, matching
-/// [`IdleIntervals`](jpmd_stats::IdleIntervals)' semantics.
+/// [`IdleIntervals`](jpmd_stats::IdleIntervals)' semantics. This is the
+/// one-disk case of [`predict_sizes_routed`].
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is not sorted ascending.
 pub fn predict_sizes(log: &AccessLog, candidates: &[u64], window: f64) -> Vec<SizePrediction> {
+    predict_sizes_routed(log, candidates, window, |_| 0, 1)
+}
+
+/// Predicts disk accesses and idle structure at each candidate capacity,
+/// **per member disk** of an array: `route(page)` assigns every access to
+/// one of `n_routes` disks, and each disk's miss stream gets its own gap
+/// merging (the multi-disk extension of paper Fig. 4). With one route,
+/// `route` is never called.
+///
+/// Returns `n_routes` predictions per candidate, candidate-major: entry
+/// `c * n_routes + r` is route `r` at `candidates[c]`. Within each
+/// candidate, the per-route `disk_accesses` sum to the one-route count.
+///
+/// # Panics
+///
+/// Panics if `candidates` is not sorted ascending, `n_routes == 0`, or
+/// `route` returns an index `≥ n_routes`.
+pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
+    log: &AccessLog,
+    candidates: &[u64],
+    window: f64,
+    route: F,
+    n_routes: usize,
+) -> Vec<SizePrediction> {
     assert!(
         candidates.windows(2).all(|w| w[0] <= w[1]),
         "candidates must be sorted ascending"
     );
+    assert!(n_routes > 0, "need at least one route");
     let entries = log.entries();
     let n = entries.len();
 
-    // Doubly-linked list over the full access sequence (capacity 0: every
-    // access is a miss).
-    let mut prev: Vec<u32> = (0..n as u32).map(|i| i.wrapping_sub(1)).collect();
-    let mut next: Vec<u32> = (1..=n as u32).collect();
-    if n > 0 {
-        prev[0] = NONE_IDX;
-        next[n - 1] = NONE_IDX;
-    }
+    // Each access's route; one route needs no table.
+    let routes: Vec<u32> = if n_routes == 1 {
+        Vec::new()
+    } else {
+        entries
+            .iter()
+            .map(|e| {
+                let r = route(e.page);
+                assert!(r < n_routes, "route index out of range");
+                r as u32
+            })
+            .collect()
+    };
+    let route_of = |i: u32| routes.get(i as usize).map_or(0, |&r| r as usize);
 
-    // Initial gap statistics at capacity 0.
-    let mut nd = n as u64;
-    let mut ni = 0u64;
-    let mut total = 0.0f64;
-    for pair in entries.windows(2) {
-        let g = pair[1].time - pair[0].time;
-        if g > window {
-            ni += 1;
-            total += g;
+    // One doubly-linked chain per route over the full access sequence
+    // (capacity 0: every access is a miss), with its gap statistics.
+    let mut prev: Vec<u32> = vec![NONE_IDX; n];
+    let mut next: Vec<u32> = vec![NONE_IDX; n];
+    let mut head: Vec<u32> = vec![NONE_IDX; n_routes];
+    let mut tail: Vec<u32> = vec![NONE_IDX; n_routes];
+    let mut nd = vec![0u64; n_routes];
+    let mut ni = vec![0u64; n_routes];
+    let mut total = vec![0.0f64; n_routes];
+    for (i, e) in (0u32..).zip(entries) {
+        let r = route_of(i);
+        let l = tail[r];
+        prev[i as usize] = l;
+        if l == NONE_IDX {
+            head[r] = i;
+        } else {
+            next[l as usize] = i;
+            let g = e.time - entries[l as usize].time;
+            if g > window {
+                ni[r] += 1;
+                total[r] += g;
+            }
         }
+        tail[r] = i;
+        nd[r] += 1;
     }
 
     // Accesses ordered by the capacity at which they become hits.
@@ -123,155 +170,14 @@ pub fn predict_sizes(log: &AccessLog, candidates: &[u64], window: f64) -> Vec<Si
         .collect();
     order.sort_unstable();
 
-    let mut head: u32 = if n > 0 { 0 } else { NONE_IDX };
-    let mut tail: u32 = if n > 0 { n as u32 - 1 } else { NONE_IDX };
-    let remove = |i: u32,
-                  prev: &mut [u32],
-                  next: &mut [u32],
-                  ni: &mut u64,
-                  total: &mut f64,
-                  head: &mut u32,
-                  tail: &mut u32| {
-        let (l, r) = (prev[i as usize], next[i as usize]);
-        if *head == i {
-            *head = r;
-        }
-        if *tail == i {
-            *tail = l;
-        }
-        let t_i = entries[i as usize].time;
-        if l != NONE_IDX {
-            let g = t_i - entries[l as usize].time;
-            if g > window {
-                *ni -= 1;
-                *total -= g;
-            }
-            next[l as usize] = r;
-        }
-        if r != NONE_IDX {
-            let g = entries[r as usize].time - t_i;
-            if g > window {
-                *ni -= 1;
-                *total -= g;
-            }
-            prev[r as usize] = l;
-        }
-        if l != NONE_IDX && r != NONE_IDX {
-            let g = entries[r as usize].time - entries[l as usize].time;
-            if g > window {
-                *ni += 1;
-                *total += g;
-            }
-        }
-    };
-
-    let mut out = Vec::with_capacity(candidates.len());
+    let mut out = Vec::with_capacity(candidates.len() * n_routes);
     let mut cursor = 0usize;
     for &cap in candidates {
-        while cursor < order.len() && order[cursor].0 <= cap {
-            remove(
-                order[cursor].1,
-                &mut prev,
-                &mut next,
-                &mut ni,
-                &mut total,
-                &mut head,
-                &mut tail,
-            );
-            nd -= 1;
-            cursor += 1;
-        }
-        out.push(SizePrediction {
-            capacity_pages: cap,
-            disk_accesses: nd,
-            idle_count: ni,
-            idle_total_secs: total.max(0.0),
-            first_miss_secs: (head != NONE_IDX).then(|| entries[head as usize].time),
-            last_miss_secs: (tail != NONE_IDX).then(|| entries[tail as usize].time),
-        });
-    }
-    out
-}
-
-/// Predicts disk accesses and idle structure at each candidate capacity,
-/// **per member disk** of an array: `route(page)` assigns every access to
-/// one of `n_routes` disks, and each disk's miss stream gets its own gap
-/// merging (the multi-disk extension of paper Fig. 4).
-///
-/// Returns `result[candidate][disk]`. Within each candidate, the sum of
-/// per-disk `disk_accesses` equals the single-stream prediction's count.
-///
-/// # Panics
-///
-/// Panics if `candidates` is not sorted ascending, `n_routes == 0`, or
-/// `route` returns an index `≥ n_routes`.
-pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
-    log: &AccessLog,
-    candidates: &[u64],
-    window: f64,
-    route: F,
-    n_routes: usize,
-) -> Vec<Vec<SizePrediction>> {
-    assert!(
-        candidates.windows(2).all(|w| w[0] <= w[1]),
-        "candidates must be sorted ascending"
-    );
-    assert!(n_routes > 0, "need at least one route");
-    let entries = log.entries();
-    let n = entries.len();
-
-    // Per-entry route, plus per-route doubly-linked chains.
-    let routes: Vec<usize> = entries
-        .iter()
-        .map(|e| {
-            let r = route(e.page);
-            assert!(r < n_routes, "route index out of range");
-            r
-        })
-        .collect();
-    let mut prev: Vec<u32> = vec![NONE_IDX; n];
-    let mut next: Vec<u32> = vec![NONE_IDX; n];
-    let mut last_of_route: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut head: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut tail: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut nd = vec![0u64; n_routes];
-    let mut ni = vec![0u64; n_routes];
-    let mut total = vec![0.0f64; n_routes];
-    for (i, e) in entries.iter().enumerate() {
-        let r = routes[i];
-        let l = last_of_route[r];
-        prev[i] = l;
-        if l != NONE_IDX {
-            next[l as usize] = i as u32;
-            let g = e.time - entries[l as usize].time;
-            if g > window {
-                ni[r] += 1;
-                total[r] += g;
-            }
-        } else {
-            head[r] = i as u32;
-        }
-        last_of_route[r] = i as u32;
-        tail[r] = i as u32;
-        nd[r] += 1;
-    }
-
-    let mut order: Vec<(u64, u32)> = entries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.distance {
-            StackDistance::Position(p) => Some((p, i as u32)),
-            StackDistance::Cold => None,
-        })
-        .collect();
-    order.sort_unstable();
-
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut cursor = 0usize;
-    for &cap in candidates {
+        // Each new hit leaves its route's miss chain, merging the two
+        // gaps around it into one.
         while cursor < order.len() && order[cursor].0 <= cap {
             let i = order[cursor].1;
-            let r = routes[i as usize];
+            let r = route_of(i);
             let (l, rr) = (prev[i as usize], next[i as usize]);
             if head[r] == i {
                 head[r] = rr;
@@ -306,18 +212,14 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
             nd[r] -= 1;
             cursor += 1;
         }
-        out.push(
-            (0..n_routes)
-                .map(|r| SizePrediction {
-                    capacity_pages: cap,
-                    disk_accesses: nd[r],
-                    idle_count: ni[r],
-                    idle_total_secs: total[r].max(0.0),
-                    first_miss_secs: (head[r] != NONE_IDX).then(|| entries[head[r] as usize].time),
-                    last_miss_secs: (tail[r] != NONE_IDX).then(|| entries[tail[r] as usize].time),
-                })
-                .collect(),
-        );
+        out.extend((0..n_routes).map(|r| SizePrediction {
+            capacity_pages: cap,
+            disk_accesses: nd[r],
+            idle_count: ni[r],
+            idle_total_secs: total[r].max(0.0),
+            first_miss_secs: (head[r] != NONE_IDX).then(|| entries[head[r] as usize].time),
+            last_miss_secs: (tail[r] != NONE_IDX).then(|| entries[tail[r] as usize].time),
+        }));
     }
     out
 }
@@ -530,53 +432,6 @@ mod tests {
     fn unsorted_candidates_panic() {
         let log = AccessLog::new();
         predict_sizes(&log, &[5, 2], 0.1);
-    }
-
-    #[test]
-    fn routed_sums_match_single_stream() {
-        let times = [0.0, 1.0, 2.0, 3.0, 13.0, 14.0, 33.0, 34.0, 64.0, 65.0];
-        let log = paper_log(&times);
-        let candidates = [0u64, 2, 4, 5, 8];
-        let single = predict_sizes(&log, &candidates, 5.0);
-        let routed = predict_sizes_routed(&log, &candidates, 5.0, |p| (p % 3) as usize, 3);
-        for (s, per_disk) in single.iter().zip(&routed) {
-            let nd_sum: u64 = per_disk.iter().map(|p| p.disk_accesses).sum();
-            assert_eq!(nd_sum, s.disk_accesses);
-        }
-    }
-
-    #[test]
-    fn routed_matches_direct_per_route_reconstruction() {
-        let times = [0.0, 1.0, 2.0, 3.0, 13.0, 14.0, 33.0, 34.0, 64.0, 65.0];
-        let log = paper_log(&times);
-        let w = 5.0;
-        let route = |p: u64| (p % 2) as usize;
-        let routed = predict_sizes_routed(&log, &[4], w, route, 2);
-        #[allow(clippy::needless_range_loop)] // r is the route id, not just an index
-        for r in 0..2usize {
-            let misses: Vec<f64> = log
-                .entries()
-                .iter()
-                .filter(|e| e.distance.misses_at(4) && route(e.page) == r)
-                .map(|e| e.time)
-                .collect();
-            let direct = IdleIntervals::from_timestamps(&misses, w);
-            assert_eq!(routed[0][r].disk_accesses as usize, misses.len());
-            assert_eq!(routed[0][r].idle_count as usize, direct.count());
-            assert!((routed[0][r].idle_total_secs - direct.total()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn routed_single_route_equals_plain_prediction() {
-        let times = [0.0, 1.0, 2.0, 3.0, 13.0, 14.0, 33.0, 34.0, 64.0, 65.0];
-        let log = paper_log(&times);
-        let candidates = [0u64, 2, 4, 5];
-        let single = predict_sizes(&log, &candidates, 5.0);
-        let routed = predict_sizes_routed(&log, &candidates, 5.0, |_| 0, 1);
-        for (s, per_disk) in single.iter().zip(&routed) {
-            assert_eq!(&per_disk[0], s);
-        }
     }
 
     mod irm {

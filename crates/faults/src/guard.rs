@@ -28,7 +28,7 @@
 
 use jpmd_core::{JointConfig, JointPolicy, PolicyError, PolicyFailure};
 use jpmd_mem::AccessLog;
-use jpmd_sim::{ControlAction, PeriodController, PeriodObservation};
+use jpmd_sim::{ArrayConfig, ControlAction, PeriodController, PeriodObservation};
 
 use crate::plan::PolicyFaults;
 use crate::rng::FaultRng;
@@ -36,6 +36,12 @@ use crate::rng::FaultRng;
 /// A period policy whose decision can fail with a typed error carrying
 /// the safe action the silent path would have taken.
 pub trait FalliblePolicy {
+    /// Learns which disks the policy drives, mirroring
+    /// [`PeriodController::on_start`]. The default ignores it.
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        let _ = (array, total_pages);
+    }
+
     /// Decides the next period's action, or reports why it could not.
     ///
     /// # Errors
@@ -73,6 +79,10 @@ pub trait FalliblePolicy {
 }
 
 impl FalliblePolicy for JointPolicy {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        PeriodController::on_start(self, array, total_pages);
+    }
+
     fn try_decide(
         &mut self,
         obs: &PeriodObservation,
@@ -141,6 +151,10 @@ struct FaultySnapshot {
 }
 
 impl<P: FalliblePolicy> FalliblePolicy for FaultyPolicy<P> {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        self.inner.on_start(array, total_pages);
+    }
+
     fn try_decide(
         &mut self,
         obs: &PeriodObservation,
@@ -486,6 +500,10 @@ struct GuardSnapshot {
 }
 
 impl<P: FalliblePolicy> PeriodController for DegradationGuard<P> {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        self.inner.on_start(array, total_pages);
+    }
+
     fn on_period_end(&mut self, obs: &PeriodObservation, log: &AccessLog) -> ControlAction {
         let period = self.period;
         self.period += 1;

@@ -21,7 +21,8 @@ use jpmd_faults::{DegradationGuard, FalliblePolicy, GuardConfig};
 use jpmd_mem::{AccessLog, IdlePolicy};
 use jpmd_obs::Telemetry;
 use jpmd_sim::{
-    ControlAction, PeriodObservation, PolicyStepper, SimCheckpoint, Simulation, SpinDownPolicy,
+    ArrayConfig, ControlAction, PeriodObservation, PolicyStepper, SimCheckpoint, Simulation,
+    SpinDownPolicy,
 };
 use jpmd_trace::SourceError;
 
@@ -48,6 +49,10 @@ impl OverloadPolicy {
 }
 
 impl FalliblePolicy for OverloadPolicy {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        FalliblePolicy::on_start(&mut self.inner, array, total_pages);
+    }
+
     fn try_decide(
         &mut self,
         obs: &PeriodObservation,

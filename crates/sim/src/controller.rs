@@ -3,6 +3,8 @@ use serde::{Deserialize, Serialize};
 use jpmd_mem::AccessLog;
 use jpmd_stats::IntervalStats;
 
+use crate::ArrayConfig;
+
 /// What the simulator observed during one control period — the inputs of
 /// paper Fig. 2's "collect information of disk accesses and idle intervals"
 /// box.
@@ -115,6 +117,14 @@ impl Deserialize for ControlAction {
 /// `jpmd-core`; the static methods (2TFM, ADPD, …) use [`NullController`]
 /// because their memory size and disk policy never change.
 pub trait PeriodController {
+    /// Tells the controller which disks it drives before the first
+    /// period: the run's [`ArrayConfig`] and its page space of
+    /// `total_pages` (≥ 1). Called once per run, fresh or resumed. The
+    /// default ignores it (controllers that treat the disks as one).
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        let _ = (array, total_pages);
+    }
+
     /// Decides the next period's memory size and disk timeout from the
     /// last period's observation and profiled access log.
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction;
@@ -149,6 +159,10 @@ pub trait PeriodController {
 /// Mutable references delegate, so `&mut dyn PeriodController` (the batch
 /// simulation's wiring) satisfies generic `C: PeriodController` bounds.
 impl<C: PeriodController + ?Sized> PeriodController for &mut C {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        (**self).on_start(array, total_pages);
+    }
+
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction {
         (**self).on_period_end(observation, log)
     }
@@ -169,6 +183,10 @@ impl<C: PeriodController + ?Sized> PeriodController for &mut C {
 /// Boxes delegate, so `Box<dyn PeriodController>` works where an owned
 /// controller is needed (the incremental `PolicyStepper`).
 impl<C: PeriodController + ?Sized> PeriodController for Box<C> {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        (**self).on_start(array, total_pages);
+    }
+
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction {
         (**self).on_period_end(observation, log)
     }
@@ -228,6 +246,10 @@ impl<C: PeriodController> TimedController<C> {
 }
 
 impl<C: PeriodController> PeriodController for TimedController<C> {
+    fn on_start(&mut self, array: ArrayConfig, total_pages: u64) {
+        self.inner.on_start(array, total_pages);
+    }
+
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction {
         let _span = self.spans.time_with("controller.decide", &self.telemetry);
         self.inner.on_period_end(observation, log)

@@ -87,7 +87,9 @@ fn restore_error(e: serde::Error) -> SourceError {
 /// up in the disk cache in order; missed pages are coalesced into
 /// contiguous runs, each becoming one disk request (split across member
 /// disks by the [`ArrayConfig`](crate::ArrayConfig) layout); the
-/// controller is invoked at every period boundary.
+/// controller learns that array once, at start
+/// ([`PeriodController::on_start`]), and is invoked at every period
+/// boundary.
 ///
 /// * Hits have zero latency; every page of a missed run inherits the run's
 ///   request latency (queueing + spin-up + service, the slowest member's
@@ -283,11 +285,14 @@ impl<'a, C: PeriodController> Simulation<'a, C> {
             }),
         }
 
-        let mut hw = HwState::new(&config, self.spindown, total_pages.max(1));
+        let total_pages = total_pages.max(1);
+        let mut hw = HwState::new(&config, self.spindown, total_pages);
         if let Some(injector) = self.injector {
             hw.set_fault_injector(injector);
         }
-        let controller = TimedController::new(self.controller, spans.clone(), telemetry.clone());
+        let mut controller =
+            TimedController::new(self.controller, spans.clone(), telemetry.clone());
+        controller.on_start(config.array, total_pages);
         let mut stepper = PolicyStepper {
             replay_span: Some(spans.time_with("engine.replay", &telemetry)),
             started: Instant::now(),

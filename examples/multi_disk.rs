@@ -1,13 +1,12 @@
 //! Joint power management over a disk array: the paper's future-work
 //! extension in action. Compares data layouts (partitioned vs striped)
-//! under the array-aware joint policy and shows the per-disk timeouts it
-//! chooses.
+//! under the joint policy and shows the per-disk timeouts it applied.
 //!
 //! ```sh
 //! cargo run --release --example multi_disk
 //! ```
 
-use jpmd::core::{ArrayJointPolicy, JointConfig, SimScale};
+use jpmd::core::{JointConfig, JointPolicy, SimScale};
 use jpmd::disk::{Layout, SpinDownPolicy};
 use jpmd::mem::IdlePolicy;
 use jpmd::sim::{ArrayConfig, NullController, RunReport, SimOutcome, Simulation};
@@ -49,17 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "2T",
             )
             .run(trace.source(), 2.0 * 3600.0)?;
-            // …versus the array-aware joint policy.
-            let mut controller = ArrayJointPolicy::new(
-                JointConfig::from_sim(&sim),
-                disks,
-                layout,
-                trace.total_pages(),
-            );
+            // …versus the joint policy, which learns the array from the run
+            // and decides every member's timeout.
             let joint = Simulation::new(
                 &sim,
                 SpinDownPolicy::controlled(f64::INFINITY),
-                &mut controller,
+                JointPolicy::new(JointConfig::from_sim(&sim)),
                 "joint",
             )
             .run(trace.source(), 2.0 * 3600.0)?;
@@ -74,21 +68,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     r.long_latency_per_sec(),
                 );
             }
-            // Show the joint policy's final per-disk utilization estimates.
-            if let Some(best) = controller.last_candidates().iter().find(|c| c.feasible) {
-                let utils: Vec<String> = best
-                    .utilizations
+            // The per-disk timeouts the joint policy applied last.
+            if let Some(row) = joint.periods.last() {
+                let timeouts: Vec<String> = row
+                    .action
+                    .disk_timeouts
                     .iter()
-                    .map(|u| format!("{:.1}%", u * 100.0))
+                    .map(|t| format!("{t:.1}s"))
                     .collect();
-                let timeouts: Vec<String> =
-                    best.timeouts.iter().map(|t| format!("{t:.0}s")).collect();
-                println!(
-                    "{:28} per-disk util {} timeouts {}",
-                    "",
-                    utils.join("/"),
-                    timeouts.join("/")
-                );
+                println!("{:28} per-disk timeouts {}", "", timeouts.join("/"));
             }
         }
     }

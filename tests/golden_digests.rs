@@ -3,12 +3,12 @@
 //! A digest is the CRC-32 of a report's `serde_json` text after
 //! [`RunReport::zero_wall_clock`]. The table covers the 16 paper methods
 //! plus cascade on three workloads and two seeds, consolidated disable on
-//! the period-edge workload, and one joint multi-disk run. A change meant
+//! the period-edge workload, and three joint multi-disk runs. A change meant
 //! to keep behaviour keeps every digest. A change meant to alter it pastes
 //! the regenerated table that a failing run prints.
 //!
 //! Runs whose measured window is a whole number of periods (all of W1,
-//! and the joint array run) also check that their post-warm-up period
+//! and the joint array runs) also check that their post-warm-up period
 //! rows add up to the report's totals.
 //!
 //! The digests were computed on x86_64 Linux. The reports hold f64 results
@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use jpmd::core::{methods, ArrayJointPolicy, DiskPolicyKind, JointConfig, MethodSpec, SimScale};
+use jpmd::core::{methods, DiskPolicyKind, JointConfig, JointPolicy, MethodSpec, SimScale};
 use jpmd::disk::{Layout, SpinDownPolicy};
 use jpmd::mem::IdlePolicy;
 use jpmd::sim::{ArrayConfig, RunReport, Simulation};
@@ -190,6 +190,22 @@ const GOLDEN: &[(&str, &str, u64, u32)] = &[
     ("ADCD-16GB", "w3", 2, 0x3cbc806b),
     ("ADDSC-16GB", "w3", 2, 0xfa8d7171),
     ("joint-array", "multi-disk", 7, 0x536d4228),
+    ("joint-array", "multi-disk-striped16", 7, 0xeacd3403),
+    ("joint-array", "multi-disk-2disks", 7, 0xc48bee98),
+];
+
+/// The joint array runs on the multi-disk workload, told apart by the
+/// workload column: `(workload, disks, layout)`. "multi-disk" is the run
+/// of `tests/multi_disk.rs`; the other two change its layout or its
+/// member count.
+const ARRAYS: [(&str, usize, Layout); 3] = [
+    ("multi-disk", 4, Layout::Partitioned),
+    (
+        "multi-disk-striped16",
+        4,
+        Layout::Striped { stripe_pages: 16 },
+    ),
+    ("multi-disk-2disks", 2, Layout::Partitioned),
 ];
 
 fn scale() -> SimScale {
@@ -229,8 +245,8 @@ fn trace(workload: &Workload, seed: u64) -> Trace {
         .expect("workload generation")
 }
 
-/// The joint array run of `tests/multi_disk.rs`: four partitioned disks.
-fn joint_array() -> Case {
+/// The joint array runs of [`ARRAYS`], on one trace.
+fn joint_arrays() -> Vec<Case> {
     const DURATION: f64 = 2700.0;
     let trace = WorkloadBuilder::new()
         .data_set_bytes(4 * GIB)
@@ -244,28 +260,24 @@ fn joint_array() -> Case {
     let mut sim = scale.sim_config(IdlePolicy::Nap, scale.total_banks());
     sim.warmup_secs = 900.0;
     sim.period_secs = 300.0;
-    sim.array = ArrayConfig {
-        disks: 4,
-        layout: Layout::Partitioned,
-    };
-    let controller = ArrayJointPolicy::new(
-        JointConfig::from_sim(&sim),
-        sim.array.disks,
-        sim.array.layout,
-        trace.total_pages(),
-    );
-    let report = Simulation::new(
-        &sim,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        controller,
-        "joint-array",
-    )
-    .run(trace.source(), DURATION)
-    .expect("in-memory trace sources cannot fail")
-    .into_report()
-    .expect("no checkpoint policy was installed");
-    check_period_sums(&report, sim.warmup_secs);
-    ("joint-array".to_string(), "multi-disk", 7, digest(report))
+    ARRAYS
+        .iter()
+        .map(|&(workload, disks, layout)| {
+            sim.array = ArrayConfig { disks, layout };
+            let report = Simulation::new(
+                &sim,
+                SpinDownPolicy::controlled(f64::INFINITY),
+                JointPolicy::new(JointConfig::from_sim(&sim)),
+                "joint-array",
+            )
+            .run(trace.source(), DURATION)
+            .expect("in-memory trace sources cannot fail")
+            .into_report()
+            .expect("no checkpoint policy was installed");
+            check_period_sums(&report, sim.warmup_secs);
+            ("joint-array".to_string(), workload, 7, digest(report))
+        })
+        .collect()
 }
 
 /// The post-warm-up period rows of `report` must add up to its totals:
@@ -338,12 +350,12 @@ fn compute() -> Vec<Case> {
             .flat_map(|workload| SEEDS.map(|seed| (workload, seed)))
             .map(|(workload, seed)| s.spawn(move || replay(scale, workload, seed)))
             .collect();
-        let array = s.spawn(joint_array);
+        let arrays = s.spawn(joint_arrays);
         let mut cases: Vec<Case> = jobs
             .into_iter()
             .flat_map(|job| job.join().expect("replay thread"))
             .collect();
-        cases.push(array.join().expect("array thread"));
+        cases.extend(arrays.join().expect("array thread"));
         cases
     })
 }

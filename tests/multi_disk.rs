@@ -1,16 +1,18 @@
 //! Integration of the multi-disk extension: arrays built through the one
-//! `Simulation` builder, layouts, and the array-aware joint policy, at a
-//! fast test scale.
+//! `Simulation` builder, layouts, and the joint policy deciding per member
+//! disk, at a fast test scale.
 
-use jpmd::core::{methods, ArrayJointPolicy, DiskPolicyKind, JointConfig, SimScale};
+use jpmd::core::{methods, DiskPolicyKind, JointConfig, JointPolicy, SimScale};
 use jpmd::disk::{Layout, SpinDownPolicy};
 use jpmd::mem::{AccessLog, IdlePolicy, MemConfig, RdramModel};
 use jpmd::sim::{
-    ArrayConfig, CheckpointOptions, CheckpointPolicy, ControlAction, NullController,
+    ArrayConfig, CheckpointOptions, CheckpointPolicy, ControlAction, MemorySink, NullController,
     PeriodController, PeriodObservation, RunReport, SimCheckpoint, SimConfig, SimOutcome,
-    Simulation,
+    Simulation, Telemetry,
 };
+use jpmd::store::crc32;
 use jpmd::trace::{AccessKind, FileId, Trace, TraceRecord, WorkloadBuilder, GIB, MIB};
+use jpmd_obs::ObsEvent;
 
 const DURATION: f64 = 2700.0;
 const WARMUP: f64 = 900.0;
@@ -59,30 +61,21 @@ fn complete<C: PeriodController>(
         .expect("no checkpoint policy was installed")
 }
 
-/// The joint-array run: per-member Pareto fits and timeouts.
-fn joint_array<'a>(
-    trace: &Trace,
-    disks: usize,
-    layout: Layout,
-) -> Simulation<'a, ArrayJointPolicy> {
+/// The joint-array run: per-member Pareto fits and timeouts. The policy
+/// learns the array from the run.
+fn joint_array<'a>(disks: usize, layout: Layout) -> Simulation<'a, JointPolicy> {
     let sim = array_config(disks, layout);
-    let controller = ArrayJointPolicy::new(
-        JointConfig::from_sim(&sim),
-        disks,
-        layout,
-        trace.total_pages(),
-    );
     Simulation::new(
         &sim,
         SpinDownPolicy::controlled(f64::INFINITY),
-        controller,
+        JointPolicy::new(JointConfig::from_sim(&sim)),
         "joint-array",
     )
 }
 
 fn run(trace: &Trace, disks: usize, layout: Layout, joint: bool) -> RunReport {
     if joint {
-        return complete(joint_array(trace, disks, layout), trace, DURATION);
+        return complete(joint_array(disks, layout), trace, DURATION);
     }
     let sim = array_config(disks, layout);
     let spindown = SpinDownPolicy::two_competitive(&sim.disk_power);
@@ -189,7 +182,7 @@ fn array_run_resumes_bit_identically_from_a_checkpoint() {
         captured = Some(ckpt);
         false
     };
-    let outcome = joint_array(&trace, 4, Layout::Partitioned)
+    let outcome = joint_array(4, Layout::Partitioned)
         .checkpoints(Some(CheckpointOptions {
             policy: CheckpointPolicy::every(2),
             on_checkpoint: &mut on_checkpoint,
@@ -199,8 +192,82 @@ fn array_run_resumes_bit_identically_from_a_checkpoint() {
     assert_eq!(outcome, SimOutcome::Interrupted);
     let ckpt = captured.expect("stopped at the first checkpoint");
     assert_eq!(ckpt.engine.stats.counts.period_boundaries, 2);
-    let resumed = joint_array(&trace, 4, Layout::Partitioned).resume(Some(&ckpt));
+    let resumed = joint_array(4, Layout::Partitioned).resume(Some(&ckpt));
     assert_eq!(complete(resumed, &trace, DURATION), uninterrupted);
+}
+
+/// A joint policy configured from a one-disk run still drives every
+/// member of the array it is started on: its report is the pinned
+/// joint-array run (`tests/golden_digests.rs`, workload "multi-disk"),
+/// and every period names one timeout per member.
+#[test]
+fn a_policy_configured_for_one_disk_drives_the_whole_array() {
+    let trace = workload();
+    let one_disk = array_config(1, Layout::Partitioned);
+    let sim = array_config(4, Layout::Partitioned);
+    let policy = JointPolicy::new(JointConfig::from_sim(&one_disk));
+    let run = Simulation::new(
+        &sim,
+        SpinDownPolicy::controlled(f64::INFINITY),
+        policy,
+        "joint-array",
+    );
+    let mut report = complete(run, &trace, DURATION);
+    assert!(report
+        .periods
+        .iter()
+        .all(|row| row.action.disk_timeouts.len() == 4));
+    report.zero_wall_clock();
+    let json = serde_json::to_string(&report).expect("RunReport serializes");
+    assert_eq!(crc32(json.as_bytes()), 0x536d4228);
+}
+
+/// An array run's policy emits the same telemetry as a one-disk run's:
+/// one `PolicyDecision` per closed period, naming the operating point the
+/// period's per-member action applied. Telemetry leaves the report as it
+/// was.
+#[test]
+fn joint_array_emits_one_policy_decision_per_period() {
+    let trace = workload();
+    let sim = array_config(4, Layout::Partitioned);
+    let sink = MemorySink::new();
+    let telemetry = Telemetry::new(Box::new(sink.clone()));
+    let policy = JointPolicy::with_telemetry(JointConfig::from_sim(&sim), telemetry.clone());
+    let instrumented = Simulation::new(
+        &sim,
+        SpinDownPolicy::controlled(f64::INFINITY),
+        policy,
+        "joint-array",
+    )
+    .telemetry(&telemetry);
+    let report = complete(instrumented, &trace, DURATION);
+    assert_eq!(report, run(&trace, 4, Layout::Partitioned, true));
+    let decisions: Vec<(u64, u32, f64)> = sink
+        .records()
+        .into_iter()
+        .filter_map(|record| match record.event {
+            ObsEvent::PolicyDecision {
+                period,
+                banks,
+                timeout_s,
+                ..
+            } => Some((period, banks, timeout_s)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decisions.len(), report.periods.len());
+    for (i, (row, &(period, banks, timeout_s))) in report.periods.iter().zip(&decisions).enumerate()
+    {
+        assert_eq!(period, i as u64);
+        assert_eq!(row.action.disk_timeouts.len(), 4);
+        assert_eq!(row.action.disk_timeout, Some(timeout_s));
+        assert_eq!(
+            row.action
+                .enabled_banks
+                .unwrap_or(row.observation.enabled_banks),
+            banks
+        );
+    }
 }
 
 fn small_config(banks: u32, disks: usize) -> SimConfig {
