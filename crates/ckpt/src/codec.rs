@@ -19,7 +19,8 @@
 //! The decoder is total over arbitrary bytes: every malformed input —
 //! unknown tag, short buffer, count exceeding the remaining bytes,
 //! invalid UTF-8, nesting past [`MAX_DEPTH`], trailing garbage — is a
-//! typed `Err(String)`, never a panic and never an unbounded allocation.
+//! typed `Err(String)`, never a panic. Containers grow as elements decode,
+//! so nested hostile counts cannot multiply into a huge reservation.
 
 use serde::Value;
 
@@ -121,7 +122,7 @@ impl<'a> Cursor<'a> {
 
     /// A declared element count, rejected up front when even one byte per
     /// element would overrun the buffer — so a corrupt count can never
-    /// drive an unbounded loop or allocation.
+    /// drive an unbounded loop.
     fn count(&mut self, what: &str) -> Result<usize, String> {
         let count = self.u32(what)? as usize;
         if count > self.remaining() {
@@ -157,7 +158,7 @@ fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, String> {
         5 => Ok(Value::Str(c.string("string")?)),
         6 => {
             let count = c.count("array")?;
-            let mut items = Vec::with_capacity(count);
+            let mut items = Vec::new();
             for _ in 0..count {
                 items.push(decode_value(c, depth + 1)?);
             }
@@ -165,7 +166,7 @@ fn decode_value(c: &mut Cursor<'_>, depth: u32) -> Result<Value, String> {
         }
         7 => {
             let count = c.count("object")?;
-            let mut fields = Vec::with_capacity(count);
+            let mut fields = Vec::new();
             for _ in 0..count {
                 let key = c.string("object key")?;
                 fields.push((key, decode_value(c, depth + 1)?));

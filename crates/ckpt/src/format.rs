@@ -5,7 +5,7 @@
 //! offset  size  field
 //!      0     8  magic  b"JPMDCKP1"
 //!      8     2  format version (LE), currently 1
-//!     10     8  payload length in bytes (LE); u64::MAX = unsealed poison
+//!     10     8  payload length in bytes (LE); frame::UNSEALED until sealed
 //!     18     4  CRC-32 of the payload (LE)
 //!     22    38  reserved, zero
 //!     60     4  CRC-32 of header bytes 0..60 (LE)
@@ -13,47 +13,36 @@
 //! ```
 //!
 //! **Write protocol** (crash-consistent): the file is written under a
-//! temporary sibling name with a *poisoned* header (`payload_len =
-//! u64::MAX`), the payload appended, the header rewritten sealed, the
+//! temporary sibling name with an *unsealed* header (`payload_len =
+//! UNSEALED`), the payload appended, the header rewritten sealed, the
 //! file fsynced, atomically renamed over the destination, and the parent
 //! directory fsynced ([`jpmd_store::sync_parent_dir`]). A crash at any
 //! point leaves either the previous good checkpoint (rename not yet
 //! durable) or a file that [`read_jck`] rejects as
 //! [`CkptError::Torn`] — never a silently wrong resume point.
 //!
-//! **Read protocol**: magic, then version, then header CRC, then the
-//! poison check, then payload length and CRC, in that order — so a
-//! foreign file is named as foreign before any checksum complaint, and
-//! every physical defect is a typed error.
+//! **Read protocol**: the header frame first ([`CHECKPOINT`]: magic,
+//! header length, version, header CRC, unsealed length, in that order),
+//! then the payload length and CRC — so a foreign file is named as
+//! foreign before any complaint about its size or checksum, and every
+//! physical defect is a typed error.
 
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
-use jpmd_store::{crc32, SharedBackend};
+use jpmd_store::frame::{CHECKPOINT, UNSEALED};
+use jpmd_store::{crc32, SharedBackend, StoreError};
 use serde::Value;
 
 use crate::codec;
 use crate::error::CkptError;
 
-/// The eight magic bytes opening every `.jck` file.
-pub const MAGIC: [u8; 8] = *b"JPMDCKP1";
-/// The format version this build reads and writes.
-pub const VERSION: u16 = 1;
-/// Fixed header size, bytes.
-pub const HEADER_BYTES: usize = 64;
-/// The `payload_len` a header carries while its file is still being
-/// written; a surviving poison marks a writer that crashed mid-save.
-const POISON_LEN: u64 = u64::MAX;
-
-fn encode_header(payload_len: u64, payload_crc: u32) -> [u8; HEADER_BYTES] {
-    let mut buf = [0u8; HEADER_BYTES];
-    buf[0..8].copy_from_slice(&MAGIC);
-    buf[8..10].copy_from_slice(&VERSION.to_le_bytes());
+fn encode_header(payload_len: u64, payload_crc: u32) -> [u8; CHECKPOINT.header_bytes] {
+    let mut buf = [0u8; CHECKPOINT.header_bytes];
     buf[10..18].copy_from_slice(&payload_len.to_le_bytes());
     buf[18..22].copy_from_slice(&payload_crc.to_le_bytes());
-    let crc = crc32(&buf[..HEADER_BYTES - 4]);
-    buf[HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
+    CHECKPOINT.seal(&mut buf);
     buf
 }
 
@@ -83,7 +72,7 @@ pub(crate) fn write_jck_on(
 
     let sealed = (|| -> Result<(), CkptError> {
         let mut file = backend.create(&tmp)?;
-        file.write_all(&encode_header(POISON_LEN, 0))?;
+        file.write_all(&encode_header(UNSEALED, 0))?;
         file.write_all(&payload)?;
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&encode_header(payload.len() as u64, crc32(&payload)))?;
@@ -102,39 +91,16 @@ pub(crate) fn write_jck_on(
 /// Loads and validates `path`, returning the decoded payload tree.
 pub(crate) fn read_jck(path: &Path) -> Result<Value, CkptError> {
     let data = fs::read(path)?;
-    // Name a foreign file as foreign before complaining about its size.
-    if data.len() >= 8 && data[0..8] != MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&data[0..8]);
-        return Err(CkptError::BadMagic { found });
-    }
-    if data.len() < HEADER_BYTES {
-        return Err(CkptError::Torn {
-            detail: format!(
-                "file is {} bytes, shorter than the {HEADER_BYTES}-byte header",
-                data.len()
-            ),
-        });
-    }
-    let header = &data[..HEADER_BYTES];
-    let version = u16::from_le_bytes([header[8], header[9]]);
-    if version != VERSION {
-        return Err(CkptError::UnsupportedVersion { found: version });
-    }
-    let stored_header_crc = u32::from_le_bytes([header[60], header[61], header[62], header[63]]);
-    if crc32(&header[..HEADER_BYTES - 4]) != stored_header_crc {
-        return Err(CkptError::Torn {
-            detail: "header checksum mismatch".into(),
-        });
-    }
+    let mut payload = &data[..];
+    let header = CHECKPOINT.open(&mut payload).map_err(|e| match e {
+        StoreError::BadMagic { found } => CkptError::BadMagic { found },
+        StoreError::UnsupportedVersion { found } => CkptError::UnsupportedVersion { found },
+        other => CkptError::Torn {
+            detail: other.to_string(),
+        },
+    })?;
     let payload_len = u64::from_le_bytes(header[10..18].try_into().expect("8-byte slice"));
-    if payload_len == POISON_LEN {
-        return Err(CkptError::Torn {
-            detail: "unsealed header: the writer crashed before committing".into(),
-        });
-    }
     let payload_crc = u32::from_le_bytes(header[18..22].try_into().expect("4-byte slice"));
-    let payload = &data[HEADER_BYTES..];
     if payload.len() as u64 != payload_len {
         return Err(CkptError::Torn {
             detail: format!(
@@ -154,6 +120,8 @@ pub(crate) fn read_jck(path: &Path) -> Result<Value, CkptError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const HEADER_BYTES: usize = CHECKPOINT.header_bytes;
 
     fn tmp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("jpmd-ckpt-format-{tag}-{}.jck", std::process::id()))

@@ -9,7 +9,7 @@
 //! * a binary value codec that round-trips floats **bit-exactly**,
 //!   because a resumed run replays from restored state and must stay
 //!   bit-identical to the uninterrupted run;
-//! * an atomic write-temp-then-rename publish with a poisoned header
+//! * an atomic write-temp-then-rename publish with an unsealed header
 //!   until sealed and dual CRCs, so a crash leaves
 //!   either the previous good checkpoint or a file that loads as a typed
 //!   [`CkptError::Torn`] — never a silently wrong resume point;
@@ -17,13 +17,13 @@
 //!   callback and the file: it flushes the telemetry WAL *before*
 //!   sealing the checkpoint that references its sequence number, so the
 //!   `.jck` never points past the durable end of the `.jsonl`;
-//! * the `ckpt_tool` binary: `inspect`, `verify`, and `resume` for the
-//!   standard chaos recipe.
+//! * the `ckpt_tool` binary: `inspect` and `verify`. An interrupted
+//!   chaos run resumes through `chaos --ckpt <file> --resume`.
 //!
 //! Resume contract: rebuild the run from the **same** configuration and
 //! an identical source, pass the loaded checkpoint to
 //! [`jpmd_sim::Simulation::resume`] (which every run goes through,
-//! [`jpmd_faults::run_chaos`] included), and reopen the telemetry file
+//! `jpmd_faults::run_chaos` included), and reopen the telemetry file
 //! with [`jpmd_obs::JsonlSink::resume`] at the checkpoint's
 //! `telemetry_seq`. The completed report is then bit-identical to the
 //! uninterrupted run's, and the telemetry stream is gap-free (the
@@ -46,7 +46,6 @@ use jpmd_store::SharedBackend;
 use serde::Value;
 
 pub use error::CkptError;
-pub use format::{HEADER_BYTES, MAGIC, VERSION};
 pub use manifest::{
     load_manifest, load_tenant_manifest, save_manifest, save_tenant_manifest, FleetManifest,
     ShardEntry, TenantEntry, TenantManifest,
@@ -58,9 +57,9 @@ pub use manifest::{
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CkptMeta {
     /// The recipe that produced the run. `"chaos-small"` is the recipe
-    /// `ckpt_tool resume` knows how to rebuild
-    /// ([`jpmd_faults::ChaosConfig::small_test`] over
-    /// [`jpmd_faults::chaos_trace`]); other kinds are free-form and
+    /// `chaos --resume` knows how to rebuild
+    /// (`jpmd_faults::ChaosConfig::small_test` over
+    /// `jpmd_faults::chaos_trace`); other kinds are free-form and
     /// resumed programmatically.
     pub kind: String,
     /// The run's primary seed (the fault-plan seed for chaos runs).
@@ -93,8 +92,8 @@ impl CkptMeta {
     }
 
     /// Metadata for the standard chaos smoke recipe
-    /// ([`jpmd_faults::ChaosConfig::small_test`] with `seed`, over
-    /// [`jpmd_faults::chaos_trace`] with `trace_seed`).
+    /// (`jpmd_faults::ChaosConfig::small_test` with `seed`, over
+    /// `jpmd_faults::chaos_trace` with `trace_seed`).
     pub fn chaos_small(seed: u64, trace_seed: u64) -> Self {
         CkptMeta {
             kind: "chaos-small".into(),
@@ -114,7 +113,7 @@ impl CkptMeta {
 }
 
 /// Serializes `meta` + `ckpt` into `path` with the crash-consistent
-/// `.jck` write protocol (temp file, poisoned header until sealed, fsync,
+/// `.jck` write protocol (temp file, unsealed header until sealed, fsync,
 /// atomic rename, parent-directory fsync).
 ///
 /// # Errors

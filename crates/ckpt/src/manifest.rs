@@ -185,7 +185,7 @@ pub fn load_tenant_manifest(path: impl AsRef<Path>) -> Result<TenantManifest, Ck
 }
 
 /// Publishes `manifest` to `path` with the crash-consistent `.jck` write
-/// protocol (temp file, poisoned header until sealed, fsync, atomic
+/// protocol (temp file, unsealed header until sealed, fsync, atomic
 /// rename, parent-directory fsync).
 ///
 /// # Errors

@@ -1,8 +1,9 @@
 //! End-to-end crash/resume over the full chaos stack *through the disk*:
 //! the interrupted run leaves a `.jck` and a telemetry WAL behind, and
 //! resuming from those files alone reproduces the uninterrupted run's
-//! [`ChaosReport`] and telemetry stream exactly. This is the same path
-//! the CI crash-resume smoke and `ckpt_tool resume` take.
+//! [`ChaosReport`] and telemetry stream exactly. `chaos --ckpt <file>
+//! --resume` (the CI crash-resume smoke) takes the same path, with the
+//! WAL's `.jx` index kept alongside.
 
 use std::fs;
 use std::path::Path;

@@ -246,24 +246,10 @@ impl JsonlSink {
         policy: WalPolicy,
         stride: u32,
     ) -> std::io::Result<Self> {
-        Self::create_indexed_on(SharedBackend::real_fs(), path, policy, stride)
-    }
-
-    /// [`JsonlSink::create_indexed`] through an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates WAL/sidecar creation failures (injected or real).
-    pub fn create_indexed_on(
-        backend: SharedBackend,
-        path: impl AsRef<Path>,
-        policy: WalPolicy,
-        stride: u32,
-    ) -> std::io::Result<Self> {
         let path = path.as_ref();
-        let index = PeriodIndexWriter::create_on(&*backend, index_path(path), stride)
-            .map_err(std::io::Error::other)?;
-        let file = backend.create(path)?;
+        let index =
+            PeriodIndexWriter::create(index_path(path), stride).map_err(std::io::Error::other)?;
+        let file = SharedBackend::real_fs().create(path)?;
         Ok(Self::from_parts(
             file,
             0,
@@ -365,23 +351,6 @@ impl JsonlSink {
             policy,
             Some(stride),
         )
-    }
-
-    /// [`JsonlSink::resume_indexed`] through an explicit storage backend
-    /// (see [`JsonlSink::resume_on`] for what goes through it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures on the WAL itself; sidecar failures fall
-    /// back to an unindexed (but still resumed) sink.
-    pub fn resume_indexed_on(
-        backend: SharedBackend,
-        path: impl AsRef<Path>,
-        from_seq: u64,
-        policy: WalPolicy,
-        stride: u32,
-    ) -> std::io::Result<Self> {
-        Self::resume_inner(backend, path.as_ref(), from_seq, policy, Some(stride))
     }
 
     fn resume_inner(

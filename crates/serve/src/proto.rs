@@ -155,7 +155,9 @@ fn valid_tenant(name: &str) -> bool {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut words = line.split_ascii_whitespace();
     let verb = words.next().ok_or("empty request")?;
-    let rest: Vec<&str> = words.collect();
+    // No verb takes more than 7 arguments, and an 8th already fails every
+    // verb that counts them, so nothing past it is split or stored.
+    let rest: Vec<&str> = words.take(8).collect();
     let tenant_arg = |idx: usize| -> Result<String, String> {
         let name = *rest.get(idx).ok_or("missing tenant name")?;
         if !valid_tenant(name) {

@@ -17,10 +17,11 @@
 //! or real disk failures. Read-class operations are never faulted —
 //! recovery code must be able to *see* what survived.
 //!
-//! Everything in `jpmd-store` that writes durably takes an optional
-//! backend via a `*_on` constructor; the plain constructors delegate
-//! with [`RealFs`], so existing callers compile unchanged and pay
-//! nothing but a vtable indirection.
+//! Every durable writer in `jpmd-store` (`TraceWriter`,
+//! `PeriodIndexWriter`) has a `*_on` constructor that takes a backend,
+//! and its plain constructor is that same path on [`RealFs`]: no file is
+//! opened around the seam, and callers pay nothing but a vtable
+//! indirection.
 
 use std::fmt::Debug;
 use std::fs::{File, OpenOptions};

@@ -123,10 +123,12 @@ fn verify(path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads a binary store in recovery mode, reporting every data page's
-/// health (ok / corrupt / unreadable past a truncation) and the records
-/// salvaged. Fails only when *nothing* is salvageable — a store with a
-/// valid header and zero readable data pages.
+/// Reads a binary store in recovery mode, reporting the health of every
+/// data page it visited (ok / corrupt), then one line for the tail a
+/// truncation left unreachable, and the records salvaged. The output is
+/// linear in the file's size, whatever record count its header claims.
+/// Fails only when *nothing* is salvageable — a store with a valid header
+/// and zero readable data pages.
 fn scan(path: &str) -> Result<(), CliError> {
     if !is_binary(path) {
         return Err(CliError::Usage("scan requires a .jpt binary store".into()));
@@ -138,23 +140,20 @@ fn scan(path: &str) -> Result<(), CliError> {
         record?; // only I/O errors survive recovery mode
         records += 1;
     }
-    let skipped = reader.skipped().clone();
     let visited = reader.pages_read();
     let data_pages = header.data_pages();
     let capacity = u64::from(header.capacity());
+    // Skipped pages come in stream order: the corrupt pages among those
+    // visited, then at most one truncated page past them.
+    let mut skipped = reader.skipped().pages.iter().peekable();
     let mut ok_pages = 0u64;
-    for page in 1..=data_pages {
-        if let Some(bad) = skipped.pages.iter().find(|s| s.page == page) {
-            let status = if bad.reason.contains("truncated") {
-                "truncated"
-            } else {
-                "corrupt"
-            };
+    for page in 1..=visited {
+        if let Some(bad) = skipped.next_if(|s| s.page == page) {
             println!(
-                "page {page:>6}  {status}: {} ({} records lost)",
+                "page {page:>6}  corrupt: {} ({} records lost)",
                 bad.reason, bad.expected_records
             );
-        } else if page <= visited {
+        } else {
             // Every page but the last is full; the last holds the rest.
             let held = if page == data_pages {
                 header.record_count - (data_pages - 1) * capacity
@@ -163,16 +162,20 @@ fn scan(path: &str) -> Result<(), CliError> {
             };
             println!("page {page:>6}  ok ({held} records)");
             ok_pages += 1;
-        } else {
-            println!("page {page:>6}  unreadable (past truncation)");
         }
+    }
+    if let Some(cut) = skipped.next() {
+        println!(
+            "pages {}..={data_pages}  truncated: {} (unreachable)",
+            cut.page, cut.reason
+        );
     }
     println!(
         "scanned {data_pages} data pages: {ok_pages} ok, {} skipped; \
          {records} of {} records recovered ({} lost)",
         data_pages - ok_pages,
         header.record_count,
-        skipped.records_lost
+        reader.skipped().records_lost
     );
     if data_pages > 0 && ok_pages == 0 {
         return Err(cli::runtime("no readable data pages in store"));

@@ -1,8 +1,8 @@
-//! The store's typed error: every way a `.jpt` file can be unreadable,
-//! corrupt, or malformed. Corruption never panics — it surfaces as one of
-//! these variants (asserted by the corruption tests in
-//! `tests/roundtrip.rs` and the workspace `store_stream` integration
-//! tests).
+//! The store's typed error: every way a `.jpt` file (or the header of a
+//! `.jx` or `.jck`, see [`crate::frame`]) can be unreadable, corrupt, or
+//! malformed. Corruption never panics — it surfaces as one of these
+//! variants (asserted by the corruption tests in `tests/roundtrip.rs` and
+//! the workspace `store_stream` and `hostile_inputs` integration tests).
 
 use std::error::Error;
 use std::fmt;
@@ -18,7 +18,7 @@ use jpmd_trace::TraceError;
 pub enum StoreError {
     /// An underlying I/O operation failed.
     Io(io::Error),
-    /// The file does not start with the store magic — not a `.jpt` file.
+    /// The file does not start with the format's magic.
     BadMagic {
         /// The first eight bytes actually found.
         found: [u8; 8],
@@ -52,6 +52,9 @@ pub enum StoreError {
         /// Page the missing bytes belong to (`0` = header).
         page: u64,
     },
+    /// The header still holds [`UNSEALED`](crate::frame::UNSEALED): its
+    /// writer never finished.
+    Unsealed,
     /// A page's record count disagrees with the header's record count.
     BadPageCount {
         /// Data page (1-based).
@@ -100,11 +103,9 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "trace store I/O error: {e}"),
-            StoreError::BadMagic { found } => {
-                write!(f, "not a jpmd trace store (magic {found:02x?})")
-            }
+            StoreError::BadMagic { found } => write!(f, "foreign file (magic {found:02x?})"),
             StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported trace store version {found}")
+                write!(f, "unsupported format version {found}")
             }
             StoreError::BadRecordSize { found } => {
                 write!(f, "unsupported record size {found} in trace store header")
@@ -120,9 +121,11 @@ impl fmt::Display for StoreError {
                 f,
                 "checksum mismatch in page {page}: stored {stored:#010x}, computed {computed:#010x}"
             ),
+            StoreError::Truncated { page: 0 } => write!(f, "truncated inside the header (page 0)"),
             StoreError::Truncated { page } => {
                 write!(f, "trace store truncated inside page {page}")
             }
+            StoreError::Unsealed => write!(f, "unsealed header: its writer never finished"),
             StoreError::BadPageCount {
                 page,
                 found,

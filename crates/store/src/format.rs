@@ -29,6 +29,10 @@
 //!   28      kind        u8 (0 = read, 1 = write)
 //! ```
 //!
+//! The header is in the frame of [`crate::frame::TRACE`]: its record
+//! count holds [`UNSEALED`](crate::frame::UNSEALED) until the writer
+//! finishes, and readers refuse such a file at open.
+//!
 //! Every page but the last must be full; the last may be partial. Pages
 //! are always padded to the full page size, so the expected file length is
 //! `64 + ceil(record_count / capacity) * page_size` exactly.
@@ -38,19 +42,17 @@
 //! record-size field lets old readers reject new strides with a precise
 //! error instead of decoding garbage.
 
+use std::io::Read;
+
 use jpmd_trace::{AccessKind, FileId, TraceRecord};
 
-use crate::crc32::crc32;
+use crate::frame::TRACE;
 use crate::StoreError;
 
-/// File magic: "JPMD TRaCe", format generation 1.
-pub const MAGIC: [u8; 8] = *b"JPMDTRC1";
-/// Format version readers of this build understand.
-pub const VERSION: u16 = 1;
 /// Bytes per packed record.
 pub const RECORD_BYTES: usize = 29;
 /// Bytes in the file header.
-pub const HEADER_BYTES: usize = 64;
+pub const HEADER_BYTES: usize = TRACE.header_bytes;
 /// Per-page overhead: leading record count + trailing CRC.
 pub const PAGE_OVERHEAD: usize = 8;
 /// Default data-page size.
@@ -97,60 +99,38 @@ impl Header {
     /// Serializes the header, including its CRC.
     pub fn encode(&self) -> [u8; HEADER_BYTES] {
         let mut buf = [0u8; HEADER_BYTES];
-        buf[0..8].copy_from_slice(&MAGIC);
-        buf[8..10].copy_from_slice(&VERSION.to_le_bytes());
         buf[10..12].copy_from_slice(&(RECORD_BYTES as u16).to_le_bytes());
         buf[12..16].copy_from_slice(&self.page_size.to_le_bytes());
         buf[16..24].copy_from_slice(&self.page_bytes.to_le_bytes());
         buf[24..32].copy_from_slice(&self.total_pages.to_le_bytes());
         buf[32..40].copy_from_slice(&self.record_count.to_le_bytes());
-        let crc = crc32(&buf[..HEADER_BYTES - 4]);
-        buf[HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
+        TRACE.seal(&mut buf);
         buf
     }
 
-    /// Parses and validates a header.
-    ///
-    /// Identity fields (magic, version, record size) are checked before
-    /// the CRC so a foreign or future-format file is reported as such;
-    /// bit corruption elsewhere in the header surfaces as
-    /// [`StoreError::Checksum`] on page 0.
+    /// Reads and validates a header from `input`: the frame's checks
+    /// ([`Frame::open`](crate::frame::Frame::open)), then the record size
+    /// and the page size.
     ///
     /// # Errors
     ///
-    /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`],
-    /// [`StoreError::BadRecordSize`], [`StoreError::Checksum`], or
-    /// [`StoreError::BadPageSize`].
-    pub fn decode(buf: &[u8; HEADER_BYTES]) -> Result<Self, StoreError> {
-        if buf[0..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&buf[0..8]);
-            return Err(StoreError::BadMagic { found });
-        }
-        let version = u16::from_le_bytes([buf[8], buf[9]]);
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion { found: version });
-        }
+    /// Any [`Frame::open`](crate::frame::Frame::open) error (an unfinished
+    /// writer's file is [`StoreError::Unsealed`]), then
+    /// [`StoreError::BadRecordSize`] or [`StoreError::BadPageSize`].
+    pub fn read(input: &mut impl Read) -> Result<Self, StoreError> {
+        let buf = TRACE.open(input)?;
+        let field = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
         let record_bytes = u16::from_le_bytes([buf[10], buf[11]]);
         if record_bytes as usize != RECORD_BYTES {
             return Err(StoreError::BadRecordSize {
                 found: record_bytes,
             });
         }
-        let stored = u32::from_le_bytes(buf[HEADER_BYTES - 4..].try_into().unwrap());
-        let computed = crc32(&buf[..HEADER_BYTES - 4]);
-        if stored != computed {
-            return Err(StoreError::Checksum {
-                page: 0,
-                stored,
-                computed,
-            });
-        }
         let header = Header {
-            page_size: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-            page_bytes: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            total_pages: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
-            record_count: u64::from_le_bytes(buf[32..40].try_into().unwrap()),
+            page_size: u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")),
+            page_bytes: field(16),
+            total_pages: field(24),
+            record_count: field(32),
         };
         Self::validate_page_size(header.page_size)?;
         Ok(header)
@@ -204,7 +184,7 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let h = header();
-        assert_eq!(Header::decode(&h.encode()).unwrap(), h);
+        assert_eq!(Header::read(&mut &h.encode()[..]).unwrap(), h);
     }
 
     #[test]
@@ -222,45 +202,6 @@ mod tests {
             ..h
         };
         assert_eq!(exact.data_pages(), 2);
-    }
-
-    #[test]
-    fn bad_magic_is_detected_before_crc() {
-        let mut buf = header().encode();
-        buf[0] = b'X';
-        assert!(matches!(
-            Header::decode(&buf),
-            Err(StoreError::BadMagic { .. })
-        ));
-    }
-
-    #[test]
-    fn future_version_is_rejected_by_name() {
-        let mut h = header().encode();
-        h[8..10].copy_from_slice(&2u16.to_le_bytes());
-        let crc = crate::crc32::crc32(&h[..HEADER_BYTES - 4]);
-        h[HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Header::decode(&h),
-            Err(StoreError::UnsupportedVersion { found: 2 })
-        ));
-        // Even without a fixed-up CRC the version check comes first.
-        let mut raw = header().encode();
-        raw[8] = 9;
-        assert!(matches!(
-            Header::decode(&raw),
-            Err(StoreError::UnsupportedVersion { found: 9 })
-        ));
-    }
-
-    #[test]
-    fn header_bitflip_fails_checksum() {
-        let mut buf = header().encode();
-        buf[20] ^= 0x01; // inside page_bytes
-        assert!(matches!(
-            Header::decode(&buf),
-            Err(StoreError::Checksum { page: 0, .. })
-        ));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   crc     u32  (of 0..20)
 //! ```
 //!
+//! The header is in the frame of [`crate::frame::INDEX`].
+//!
 //! Invariants: entries are strictly increasing in `seq` and `offset` and
 //! non-decreasing in `period`; an entry is appended only **after** the
 //! line it points at was written. The index is therefore a *hint*, never
@@ -28,14 +30,11 @@ use std::path::{Path, PathBuf};
 
 use crate::backend::{RealFs, StorageBackend, StorageFile};
 use crate::crc32::crc32;
+use crate::frame::INDEX;
 use crate::StoreError;
 
-/// Index sidecar magic: "JPMD InDeX", generation 1.
-pub const INDEX_MAGIC: [u8; 8] = *b"JPMDIDX1";
-/// Index format version this build understands.
-pub const INDEX_VERSION: u16 = 1;
 /// Bytes in the index header.
-pub const INDEX_HEADER_BYTES: usize = 24;
+pub const INDEX_HEADER_BYTES: usize = INDEX.header_bytes;
 /// Bytes per index entry.
 pub const INDEX_ENTRY_BYTES: usize = 28;
 
@@ -85,40 +84,9 @@ impl IndexEntry {
 
 fn encode_index_header(stride: u32) -> [u8; INDEX_HEADER_BYTES] {
     let mut buf = [0u8; INDEX_HEADER_BYTES];
-    buf[0..8].copy_from_slice(&INDEX_MAGIC);
-    buf[8..10].copy_from_slice(&INDEX_VERSION.to_le_bytes());
     buf[10..14].copy_from_slice(&stride.to_le_bytes());
-    let crc = crc32(&buf[..INDEX_HEADER_BYTES - 4]);
-    buf[INDEX_HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
+    INDEX.seal(&mut buf);
     buf
-}
-
-fn decode_index_header(buf: &[u8; INDEX_HEADER_BYTES]) -> Result<u32, StoreError> {
-    if buf[0..8] != INDEX_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&buf[0..8]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let version = u16::from_le_bytes([buf[8], buf[9]]);
-    if version != INDEX_VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version });
-    }
-    let stored = u32::from_le_bytes(buf[INDEX_HEADER_BYTES - 4..].try_into().unwrap());
-    let computed = crc32(&buf[..INDEX_HEADER_BYTES - 4]);
-    if stored != computed {
-        return Err(StoreError::Checksum {
-            page: 0,
-            stored,
-            computed,
-        });
-    }
-    let stride = u32::from_le_bytes(buf[10..14].try_into().unwrap());
-    if stride == 0 {
-        return Err(StoreError::InvalidConfig {
-            reason: "index stride must be >= 1",
-        });
-    }
-    Ok(stride)
 }
 
 /// A loaded, validated sparse index (see the module docs).
@@ -136,21 +104,18 @@ impl PeriodIndex {
     ///
     /// # Errors
     ///
-    /// [`StoreError::BadMagic`] / [`StoreError::UnsupportedVersion`] /
-    /// [`StoreError::Checksum`] for a foreign or corrupt header,
-    /// [`StoreError::Truncated`] when the file ends inside the header,
-    /// plus I/O failures.
+    /// Any [`Frame::open`](crate::frame::Frame::open) error for a
+    /// foreign, short or corrupt header, [`StoreError::InvalidConfig`] for
+    /// a zero stride, plus I/O failures.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let mut file = File::open(path)?;
-        let mut header = [0u8; INDEX_HEADER_BYTES];
-        file.read_exact(&mut header).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StoreError::Truncated { page: 0 }
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
-        let stride = decode_index_header(&header)?;
+        let header = INDEX.open(&mut file)?;
+        let stride = u32::from_le_bytes(header[10..14].try_into().expect("4-byte slice"));
+        if stride == 0 {
+            return Err(StoreError::InvalidConfig {
+                reason: "index stride must be >= 1",
+            });
+        }
         let mut body = Vec::new();
         file.read_to_end(&mut body)?;
         let mut entries: Vec<IndexEntry> = Vec::with_capacity(body.len() / INDEX_ENTRY_BYTES);

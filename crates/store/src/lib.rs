@@ -23,6 +23,9 @@
 //! Alongside the trace format the crate holds what the telemetry WAL and
 //! the checkpoint files build on:
 //!
+//! * [`mod@frame`] — the one header frame (magic, version, CRC, unsealed
+//!   field) that `.jpt`, `.jx` and `.jck` files share, checked in one
+//!   order;
 //! * [`mod@index`] — sparse per-period `<wal>.jx` sidecars that make
 //!   `seek_to_period` on JSONL telemetry WALs O(index) instead of
 //!   O(file);
@@ -71,6 +74,7 @@ mod crc32;
 mod durability;
 mod error;
 pub mod format;
+pub mod frame;
 pub mod index;
 mod reader;
 mod writer;

@@ -7,7 +7,7 @@ use std::path::Path;
 use jpmd_trace::{check_record, SourceError, Trace, TraceRecord, TraceSource};
 
 use crate::crc32::crc32;
-use crate::format::{Header, HEADER_BYTES, RECORD_BYTES};
+use crate::format::{Header, RECORD_BYTES};
 use crate::StoreError;
 
 /// One data page a recovering reader skipped, with why.
@@ -81,7 +81,8 @@ impl TraceReader<BufReader<File>> {
     ///
     /// # Errors
     ///
-    /// Propagates open/read failures and header validation errors.
+    /// Propagates open/read failures and header validation errors; a file
+    /// an unfinished writer left is [`StoreError::Unsealed`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::new(BufReader::new(File::open(path)?))
     }
@@ -92,7 +93,7 @@ impl TraceReader<BufReader<File>> {
     /// # Errors
     ///
     /// Propagates open/read failures and header validation errors — a
-    /// damaged *header* is not recoverable.
+    /// damaged or unsealed *header* is not recoverable.
     pub fn open_recovering(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::new_recovering(BufReader::new(File::open(path)?))
     }
@@ -103,12 +104,9 @@ impl<R: Read> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Truncated`] (page 0) when the header is incomplete,
-    /// any [`Header::decode`] error, or I/O failures.
+    /// Any [`Header::read`] error, before any data page is read.
     pub fn new(mut input: R) -> Result<Self, StoreError> {
-        let mut buf = [0u8; HEADER_BYTES];
-        read_exact_or_truncated(&mut input, &mut buf, 0)?;
-        let header = Header::decode(&buf)?;
+        let header = Header::read(&mut input)?;
         Ok(Self {
             input,
             page: vec![0u8; header.page_size as usize],
@@ -180,7 +178,13 @@ impl<R: Read> TraceReader<R> {
     /// consumed from the input before validation begins.
     fn load_page(&mut self) -> Result<(), StoreError> {
         let page = self.pages_read + 1; // 1-based in errors; 0 is the header
-        read_exact_or_truncated(&mut self.input, &mut self.page, page)?;
+        self.input.read_exact(&mut self.page).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StoreError::Truncated { page }
+            } else {
+                StoreError::Io(e)
+            }
+        })?;
         self.pages_read += 1;
         let prev_time = self.prev_time;
         let result = self.decode_page(page);
@@ -262,20 +266,6 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-fn read_exact_or_truncated<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    page: u64,
-) -> Result<(), StoreError> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated { page }
-        } else {
-            StoreError::Io(e)
-        }
-    })
-}
-
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<TraceRecord, StoreError>;
 
@@ -334,10 +324,8 @@ impl<R: Read> TraceSource for TraceReader<R> {
 /// Propagates any [`TraceReader`] error.
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, StoreError> {
     let mut reader = TraceReader::open(path)?;
+    // Grown as records arrive: the header's count is a claim, not a size.
     let mut records = Vec::new();
-    if reader.record_count() != u64::MAX {
-        records.reserve(reader.record_count() as usize);
-    }
     for record in &mut reader {
         records.push(record?);
     }
@@ -351,6 +339,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::HEADER_BYTES;
     use crate::writer::TraceWriter;
     use jpmd_trace::{AccessKind, FileId};
     use std::io::Cursor;

@@ -1,6 +1,5 @@
 //! Buffered streaming writer for the paged binary trace store.
 
-use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -8,8 +7,8 @@ use jpmd_trace::{check_record, Trace, TraceRecord};
 
 use crate::backend::{SharedBackend, StorageFile};
 use crate::crc32::crc32;
-use crate::durability::sync_parent_dir;
 use crate::format::{Header, DEFAULT_PAGE_SIZE, RECORD_BYTES};
+use crate::frame::UNSEALED;
 use crate::StoreError;
 
 /// Streams [`TraceRecord`]s into the paged binary format.
@@ -19,10 +18,11 @@ use crate::StoreError;
 /// into fixed-size pages; each full page is checksummed and written out,
 /// so resident memory stays O(page) regardless of trace length.
 ///
-/// The header is written up front with a **poison record count**
-/// (`u64::MAX`) and patched by [`TraceWriter::finish`] — a writer that is
-/// dropped without finishing leaves a file every reader rejects instead of
-/// one that silently reads as truncated.
+/// The header is written up front with the record count at
+/// [`UNSEALED`] and patched by [`TraceWriter::finish`] — a writer that is
+/// dropped without finishing leaves a file every reader refuses at open
+/// ([`StoreError::Unsealed`]) instead of one that silently reads as
+/// truncated.
 pub struct TraceWriter<W: Write + Seek> {
     out: W,
     header: Header,
@@ -31,15 +31,14 @@ pub struct TraceWriter<W: Write + Seek> {
     in_page: u32,
     written: u64,
     prev_time: f64,
-    /// Set by [`TraceWriter::create`] so [`TraceWriter::finish_durable`]
-    /// can fsync the parent directory; `None` for in-memory writers.
-    path: Option<PathBuf>,
-    /// Set by [`TraceWriter::create_on`] so the parent-directory sync
-    /// goes through the same backend that wrote the file.
-    backend: Option<SharedBackend>,
+    /// Set by [`TraceWriter::create_on`] so
+    /// [`TraceWriter::finish_durable`] can fsync the parent directory
+    /// through the backend that wrote the file; `None` for in-memory
+    /// writers.
+    target: Option<(SharedBackend, PathBuf)>,
 }
 
-impl TraceWriter<BufWriter<File>> {
+impl TraceWriter<BufWriter<Box<dyn StorageFile>>> {
     /// Creates `path` and writes the store header for a trace with the
     /// given page size and data-set size.
     ///
@@ -51,40 +50,9 @@ impl TraceWriter<BufWriter<File>> {
         page_bytes: u64,
         total_pages: u64,
     ) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let mut writer = Self::new(BufWriter::new(File::create(path)?), page_bytes, total_pages)?;
-        writer.path = Some(path.to_path_buf());
-        Ok(writer)
+        Self::create_on(SharedBackend::real_fs(), path, page_bytes, total_pages)
     }
 
-    /// [`TraceWriter::finish`], then pushed all the way to stable storage:
-    /// the sealed file is fsynced, and — for writers opened with
-    /// [`TraceWriter::create`] — so is its parent directory, so neither
-    /// the patched header nor the directory entry can be lost to a crash.
-    ///
-    /// The store does not need a write-temp-then-rename dance for
-    /// crash *detection* (the poison record count already makes an
-    /// unfinished file typed garbage every reader rejects); this call is
-    /// about making a *finished* file permanent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write, flush, and fsync failures.
-    pub fn finish_durable(self) -> Result<(), StoreError> {
-        let path = self.path.clone();
-        let out = self.finish()?;
-        let file = out
-            .into_inner()
-            .map_err(|e| StoreError::Io(e.into_error()))?;
-        file.sync_all()?;
-        if let Some(path) = path {
-            sync_parent_dir(&path)?;
-        }
-        Ok(())
-    }
-}
-
-impl TraceWriter<BufWriter<Box<dyn StorageFile>>> {
     /// [`TraceWriter::create`] through an explicit storage backend (the
     /// fault-injection seam).
     ///
@@ -100,30 +68,32 @@ impl TraceWriter<BufWriter<Box<dyn StorageFile>>> {
         let path = path.as_ref();
         let file = backend.create(path)?;
         let mut writer = Self::new(BufWriter::new(file), page_bytes, total_pages)?;
-        writer.path = Some(path.to_path_buf());
-        writer.backend = Some(backend);
+        writer.target = Some((backend, path.to_path_buf()));
         Ok(writer)
     }
 
-    /// [`TraceWriter::finish_durable`] for a backend-created writer: the
-    /// fsyncs (file and parent directory) go through the backend too.
+    /// [`TraceWriter::finish`], then pushed all the way to stable storage:
+    /// the sealed file is fsynced, and so is its parent directory, both
+    /// through the writer's backend, so neither the patched header nor the
+    /// directory entry can be lost to a crash.
+    ///
+    /// The store does not need a write-temp-then-rename dance for
+    /// crash *detection* (the unsealed record count already makes an
+    /// unfinished file one every reader refuses); this call is about
+    /// making a *finished* file permanent.
     ///
     /// # Errors
     ///
     /// Propagates write, flush, and fsync failures.
-    pub fn finish_durable(self) -> Result<(), StoreError> {
-        let path = self.path.clone();
-        let backend = self.backend.clone();
-        let out = self.finish()?;
-        let mut file = out
+    pub fn finish_durable(mut self) -> Result<(), StoreError> {
+        let target = self.target.take();
+        let mut file = self
+            .finish()?
             .into_inner()
             .map_err(|e| StoreError::Io(e.into_error()))?;
         file.sync_all()?;
-        if let Some(path) = path {
-            match &backend {
-                Some(backend) => backend.sync_parent_dir(&path)?,
-                None => sync_parent_dir(&path)?,
-            }
+        if let Some((backend, path)) = target {
+            backend.sync_parent_dir(&path)?;
         }
         Ok(())
     }
@@ -163,7 +133,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             page_size,
             page_bytes,
             total_pages,
-            record_count: u64::MAX, // poison until finish() patches it
+            record_count: UNSEALED, // until finish() patches it
         };
         out.write_all(&header.encode())?;
         Ok(Self {
@@ -174,8 +144,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             in_page: 0,
             written: 0,
             prev_time: f64::NEG_INFINITY,
-            path: None,
-            backend: None,
+            target: None,
         })
     }
 
@@ -308,9 +277,10 @@ mod tests {
         // Simulate a crash: grab the bytes without finish().
         w.out.flush().unwrap();
         let bytes = w.out.get_ref().clone();
-        let header =
-            Header::decode(bytes[..crate::format::HEADER_BYTES].try_into().unwrap()).unwrap();
-        assert_eq!(header.record_count, u64::MAX);
+        assert!(matches!(
+            Header::read(&mut &bytes[..]),
+            Err(StoreError::Unsealed)
+        ));
     }
 
     #[test]

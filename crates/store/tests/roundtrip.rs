@@ -178,9 +178,15 @@ fn future_version_is_a_typed_error() {
 
 #[test]
 fn truncated_header_is_a_typed_error() {
+    let header = to_store(&Trace::new(vec![], 1 << 20, 64), 256);
+    assert!(matches!(
+        TraceReader::new(Cursor::new(header[..10].to_vec())).err(),
+        Some(StoreError::Truncated { page: 0 })
+    ));
+    // Ten foreign bytes are named as foreign before they are called short.
     assert!(matches!(
         TraceReader::new(Cursor::new(vec![0u8; 10])).err(),
-        Some(StoreError::Truncated { page: 0 })
+        Some(StoreError::BadMagic { .. })
     ));
 }
 
