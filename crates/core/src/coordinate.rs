@@ -185,6 +185,10 @@ impl PeriodController for PlannedController {
         "planned"
     }
 
+    fn reads_access_log(&self) -> bool {
+        false
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         serde::Value::Object(vec![("period".to_string(), serde::Value::U64(self.period))])
     }

@@ -1,7 +1,7 @@
 /// A Fenwick (binary-indexed) tree over `u32` counts, used by the
 /// stack-distance profiler to count "still most-recent" access slots in a
 /// time range in O(log n).
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Fenwick {
     tree: Vec<u32>,
 }
@@ -9,9 +9,26 @@ pub(crate) struct Fenwick {
 impl Fenwick {
     /// Creates a tree over `n` slots, all zero.
     pub fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
+        Self::with_ones(n, 0)
+    }
+
+    /// Creates a tree over `n` slots whose first `ones` slots hold 1 and
+    /// the rest 0, in O(n): node `i` covers the 1-based positions
+    /// `i - lowbit(i) + 1 ..= i`, so it counts the ones among them
+    /// directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones > n`.
+    pub fn with_ones(n: usize, ones: usize) -> Self {
+        assert!(ones <= n, "more ones than slots");
+        let tree = (0..=n)
+            .map(|i| {
+                let below = i - (i & i.wrapping_neg());
+                i.min(ones).saturating_sub(below) as u32
+            })
+            .collect();
+        Self { tree }
     }
 
     /// Number of slots.
@@ -43,15 +60,6 @@ impl Fenwick {
         }
         s
     }
-
-    /// Sum over the 0-based inclusive range `lo..=hi`; 0 when `lo > hi`.
-    pub fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        let below = if lo == 0 { 0 } else { self.prefix_sum(lo - 1) };
-        self.prefix_sum(hi) - below
-    }
 }
 
 #[cfg(test)]
@@ -68,8 +76,6 @@ mod tests {
         assert_eq!(f.prefix_sum(0), 1);
         assert_eq!(f.prefix_sum(3), 3);
         assert_eq!(f.prefix_sum(7), 8);
-        assert_eq!(f.range_sum(1, 6), 2);
-        assert_eq!(f.range_sum(4, 3), 0);
     }
 
     #[test]
@@ -78,6 +84,23 @@ mod tests {
         f.add(2, 1);
         f.add(2, -1);
         assert_eq!(f.prefix_sum(3), 0);
+    }
+
+    #[test]
+    fn with_ones_matches_adding_them_one_by_one() {
+        for n in 0..70 {
+            for ones in 0..=n {
+                let mut added = Fenwick::new(n);
+                for i in 0..ones {
+                    added.add(i, 1);
+                }
+                assert_eq!(
+                    Fenwick::with_ones(n, ones).tree,
+                    added.tree,
+                    "{ones} of {n}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -13,9 +13,12 @@
 //!   bank are invalidated").
 //! * [`StackProfiler`] / [`AccessLog`] — the paper's *extended LRU list*
 //!   (Fig. 3): exact stack distances that predict the number of disk
-//!   accesses at every candidate memory size at once.
+//!   accesses at every candidate memory size at once, in O(log n) per
+//!   access and O(distinct pages) memory.
 //! * [`MemoryManager`] — the assembled subsystem the system simulator
-//!   drives.
+//!   drives. It profiles only for a policy that reads the access log
+//!   ([`MemoryManager::set_profiling`]), and keeps at most one pending
+//!   disable timer per bank and kind.
 //!
 //! # Example
 //!

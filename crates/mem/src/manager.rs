@@ -67,15 +67,45 @@ enum ExpiryKind {
     Consolidate,
 }
 
+impl ExpiryKind {
+    /// When this timer fires after an access at `stamp`, under a disable
+    /// timeout of `t`.
+    fn deadline(self, stamp: f64, t: f64) -> f64 {
+        match self {
+            ExpiryKind::Invalidate => stamp + t,
+            ExpiryKind::Consolidate => stamp + 0.5 * t,
+        }
+    }
+}
+
 /// Heap entry for lazy disable-mode expiry sweeping.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Expiry {
     at: f64,
     bank: u32,
-    /// `last_access` of the bank when this entry was pushed; the entry is
-    /// stale (and ignored) if the bank has been touched since.
+    /// The arming access this deadline was computed from.
     stamp: f64,
     kind: ExpiryKind,
+}
+
+/// The disable timers of one bank: the access that last armed them, and
+/// which of its two kinds has an entry in the heap. A bank holds at most
+/// one entry per kind; an entry that fires after a later arming access
+/// re-arms at that access's deadline instead.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct BankTimers {
+    armed: f64,
+    invalidate_queued: bool,
+    consolidate_queued: bool,
+}
+
+impl BankTimers {
+    fn queued(&mut self, kind: ExpiryKind) -> &mut bool {
+        match kind {
+            ExpiryKind::Invalidate => &mut self.invalidate_queued,
+            ExpiryKind::Consolidate => &mut self.consolidate_queued,
+        }
+    }
 }
 
 impl PartialEq for Expiry {
@@ -108,9 +138,16 @@ impl Ord for Expiry {
 /// 1. lazy expiry of `DisableAfter` banks whose timeout passed (their
 ///    cached pages are invalidated — future re-reads become disk accesses,
 ///    the defining cost of the DS methods),
-/// 2. stack-distance profiling into the current [`AccessLog`],
+/// 2. stack-distance profiling into the current [`AccessLog`], unless
+///    [`MemoryManager::set_profiling`] turned it off (only a policy that
+///    reads the log needs it),
 /// 3. the LRU cache lookup/fill,
-/// 4. bank energy accounting for the page transfer.
+/// 4. bank energy accounting for the page transfer, and re-arming the
+///    bank's disable timers.
+///
+/// Accesses must arrive in time order (the simulator clamps its records
+/// to make them so). A disable timer costs one heap entry per bank and
+/// kind however many accesses re-arm it.
 ///
 /// # Example
 ///
@@ -136,7 +173,11 @@ pub struct MemoryManager {
     banks: BankArray,
     profiler: StackProfiler,
     log: AccessLog,
+    /// Whether accesses feed `profiler` and `log`.
+    profiling: bool,
     ds_heap: BinaryHeap<Expiry>,
+    /// Per-bank disable timers; empty when the policy never disables.
+    timers: Vec<BankTimers>,
     accesses: u64,
     hits: u64,
     /// Migrate pages out of nearly-expired `DisableAfter` banks instead of
@@ -175,7 +216,12 @@ impl MemoryManager {
             banks,
             profiler: StackProfiler::new(),
             log: AccessLog::new(),
+            profiling: true,
             ds_heap: BinaryHeap::new(),
+            timers: match config.policy.disable_after() {
+                Some(_) => vec![BankTimers::default(); config.total_banks as usize],
+                None => Vec::new(),
+            },
             accesses: 0,
             hits: 0,
             consolidate: false,
@@ -195,8 +241,17 @@ impl MemoryManager {
     /// without losing data (the power-aware cache management of related
     /// work \[6\], \[36\]). The copies are charged 2× the per-MB dynamic
     /// energy (read + write) and do **not** revive the draining bank.
+    /// Set it before the first access, as the simulator does.
     pub fn set_consolidation(&mut self, on: bool) {
         self.consolidate = on;
+    }
+
+    /// Turns stack profiling and the access log on or off (on by
+    /// default). While off, accesses leave both untouched, so
+    /// [`MemoryManager::take_log`] returns empty logs: a run whose policy
+    /// never reads them skips the profiler's per-page work.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profiling = on;
     }
 
     /// Pages migrated by consolidation so far.
@@ -211,14 +266,29 @@ impl MemoryManager {
 
     /// Invalidates (or consolidates) banks whose timers fired before `now`.
     fn sweep_disabled(&mut self, now: f64) {
-        while let Some(top) = self.ds_heap.peek() {
-            if top.at > now {
+        let Some(t) = self.config.policy.disable_after() else {
+            return;
+        };
+        while let Some(&e) = self.ds_heap.peek() {
+            if e.at > now {
                 break;
             }
-            let e = *top;
             self.ds_heap.pop();
-            let fresh = self.banks.last_access(e.bank as usize) == e.stamp;
-            if !fresh {
+            let timers = &mut self.timers[e.bank as usize];
+            if timers.armed != e.stamp {
+                // A later access re-armed the bank: wait for its deadline,
+                // which is never earlier than this one.
+                self.ds_heap.push(Expiry {
+                    at: e.kind.deadline(timers.armed, t),
+                    stamp: timers.armed,
+                    ..e
+                });
+                continue;
+            }
+            *timers.queued(e.kind) = false;
+            // A resize that woke the bank since the access restarted its
+            // idle clock without arming anything.
+            if self.banks.last_access(e.bank as usize) != e.stamp {
                 continue;
             }
             match e.kind {
@@ -245,27 +315,40 @@ impl MemoryManager {
                             moved.iter().map(|&f| self.cache.bank_of(f)).collect();
                         dest_banks.sort_unstable();
                         dest_banks.dedup();
-                        if let Some(t) = self.config.policy.disable_after() {
-                            for bank in dest_banks {
-                                self.banks.record_access(bank as usize, now, 0.0);
-                                self.ds_heap.push(Expiry {
-                                    at: now + t,
-                                    bank,
-                                    stamp: now,
-                                    kind: ExpiryKind::Invalidate,
-                                });
-                                if self.consolidate {
-                                    self.ds_heap.push(Expiry {
-                                        at: now + 0.5 * t,
-                                        bank,
-                                        stamp: now,
-                                        kind: ExpiryKind::Consolidate,
-                                    });
-                                }
-                            }
+                        for bank in dest_banks {
+                            self.banks.record_access(bank as usize, now, 0.0);
+                            self.arm_timers(bank, now);
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Arms `bank`'s disable timers from an access at `now`, pushing a heap
+    /// entry only for a kind that has none queued. No-op for policies
+    /// that never disable.
+    fn arm_timers(&mut self, bank: u32, now: f64) {
+        let Some(t) = self.config.policy.disable_after() else {
+            return;
+        };
+        let kinds: &[ExpiryKind] = if self.consolidate {
+            &[ExpiryKind::Invalidate, ExpiryKind::Consolidate]
+        } else {
+            &[ExpiryKind::Invalidate]
+        };
+        let timers = &mut self.timers[bank as usize];
+        timers.armed = now;
+        for &kind in kinds {
+            let queued = timers.queued(kind);
+            if !*queued {
+                *queued = true;
+                self.ds_heap.push(Expiry {
+                    at: kind.deadline(now, t),
+                    bank,
+                    stamp: now,
+                    kind,
+                });
             }
         }
     }
@@ -286,8 +369,10 @@ impl MemoryManager {
     /// the disk as writes.
     pub fn access_rw(&mut self, page: u64, now: f64, write: bool) -> bool {
         self.sweep_disabled(now);
-        let distance = self.profiler.observe(page);
-        self.log.record(now, page, distance);
+        if self.profiling {
+            let distance = self.profiler.observe(page);
+            self.log.record(now, page, distance);
+        }
         let outcome = self.cache.access(page);
         if write {
             self.cache.mark_dirty(outcome.frame);
@@ -298,22 +383,7 @@ impl MemoryManager {
         let bank = self.cache.bank_of(outcome.frame);
         self.banks
             .record_access(bank as usize, now, self.config.page_mb());
-        if let Some(t) = self.config.policy.disable_after() {
-            self.ds_heap.push(Expiry {
-                at: now + t,
-                bank,
-                stamp: now,
-                kind: ExpiryKind::Invalidate,
-            });
-            if self.consolidate {
-                self.ds_heap.push(Expiry {
-                    at: now + 0.5 * t,
-                    bank,
-                    stamp: now,
-                    kind: ExpiryKind::Consolidate,
-                });
-            }
-        }
+        self.arm_timers(bank, now);
         self.accesses += 1;
         if outcome.hit {
             self.hits += 1;
@@ -429,6 +499,7 @@ impl MemoryManager {
             // Sorted for a deterministic byte representation; heap order
             // is rebuilt on restore.
             ds_heap: self.ds_heap.clone().into_sorted_vec(),
+            timers: self.timers.clone(),
             accesses: self.accesses,
             hits: self.hits,
             consolidate: self.consolidate,
@@ -447,11 +518,20 @@ impl MemoryManager {
     /// Returns an error when `value` does not decode as a memory snapshot.
     pub fn restore_state(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         let s = MemSnapshot::from_value(value)?;
+        if s.timers.len() != self.timers.len()
+            || s.ds_heap.iter().any(|e| e.bank as usize >= s.timers.len())
+        {
+            return Err(serde::Error::custom(format!(
+                "snapshot's disable timers do not fit {} timed banks",
+                self.timers.len()
+            )));
+        }
         self.cache = s.cache;
         self.banks = s.banks;
         self.profiler = s.profiler;
         self.log = s.log;
         self.ds_heap = BinaryHeap::from(s.ds_heap);
+        self.timers = s.timers;
         self.accesses = s.accesses;
         self.hits = s.hits;
         self.consolidate = s.consolidate;
@@ -471,6 +551,7 @@ struct MemSnapshot {
     profiler: StackProfiler,
     log: AccessLog,
     ds_heap: Vec<Expiry>,
+    timers: Vec<BankTimers>,
     accesses: u64,
     hits: u64,
     consolidate: bool,
@@ -749,6 +830,50 @@ mod tests {
             a.energy().dynamic_j.to_bits(),
             b.energy().dynamic_j.to_bits()
         );
+    }
+
+    #[test]
+    fn disable_timers_queue_at_most_one_heap_entry_per_bank_and_kind() {
+        for consolidate in [false, true] {
+            let mut m = MemoryManager::new(config(IdlePolicy::DisableAfter(10.0)));
+            m.set_consolidation(consolidate);
+            let kinds = if consolidate { 2 } else { 1 };
+            for i in 0..5000u64 {
+                // Idle gaps past the timeout every 1000 accesses, so
+                // timers fire and re-arm as well as pile up.
+                let now = i as f64 * 0.01 + (i / 1000) as f64 * 15.0;
+                m.access_rw(i * 7 % 23, now, i % 5 == 0);
+                let mut per_bank = [0; 4];
+                for e in &m.ds_heap {
+                    per_bank[e.bank as usize] += 1;
+                }
+                assert!(
+                    per_bank.iter().all(|&n| n <= kinds),
+                    "consolidate {consolidate}, access {i}: {per_bank:?} entries per bank"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn policies_without_a_disable_timeout_keep_no_timers() {
+        let mut m = MemoryManager::new(config(IdlePolicy::PowerDownAfter(1e-4)));
+        for i in 0..100u64 {
+            m.access(i % 9, i as f64);
+        }
+        assert!(m.timers.is_empty() && m.ds_heap.is_empty());
+    }
+
+    #[test]
+    fn profiling_off_leaves_the_profiler_and_log_empty() {
+        let mut m = MemoryManager::new(config(IdlePolicy::Nap));
+        m.set_profiling(false);
+        for p in [1u64, 2, 1, 3] {
+            m.access(p, 0.0);
+        }
+        assert_eq!(m.hits(), 1, "the cache itself still runs");
+        assert!(m.take_log().is_empty());
+        assert_eq!(m.profiler.distinct_pages(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,13 @@ impl StackDistance {
 /// The implementation is the Bennett–Kruskal algorithm: a Fenwick tree over
 /// access slots marks, for each distinct page, its most recent access; the
 /// stack position of a re-access is one plus the number of marks after the
-/// page's previous slot. O(log n) per access with periodic compaction.
+/// page's previous slot. An access costs one hash lookup, one O(log n)
+/// tree query and two O(log n) tree updates. When the slots run out, one
+/// linear pass re-packs the marks to the front.
+///
+/// Memory is O(distinct pages): each page gets a dense id on first sight,
+/// and every table is indexed by id or slot, never by page number, so
+/// page 2⁶³ costs what page 0 does.
 ///
 /// # Example
 ///
@@ -59,15 +65,24 @@ impl StackDistance {
 /// }
 /// assert_eq!(hits_at_4, 2); // eight disk accesses with 4-page memory
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StackProfiler {
-    /// Most recent access slot of each page.
-    last_slot: HashMap<u64, usize>,
+    /// Dense id of every page seen, in first-seen order.
+    ids: HashMap<u64, u32>,
+    /// Most recent slot of each id.
+    slot_of: Vec<u32>,
+    /// The id accessed in each slot; its length is the next free slot.
+    id_at: Vec<u32>,
     /// Marks the slots that are currently "most recent" for some page.
     marks: Fenwick,
-    /// Next free slot.
-    cursor: usize,
 }
+
+/// Slots a fresh or lightly used profiler starts with.
+const MIN_SLOTS: usize = 1024;
+
+/// Most distinct pages a profiler tracks: twice as many slots must still
+/// fit its `u32` tables.
+const MAX_DISTINCT: usize = (u32::MAX / 2) as usize;
 
 impl Default for StackProfiler {
     fn default() -> Self {
@@ -79,32 +94,75 @@ impl StackProfiler {
     /// Creates an empty profiler.
     pub fn new() -> Self {
         Self {
-            last_slot: HashMap::new(),
-            marks: Fenwick::new(1024),
-            cursor: 0,
+            ids: HashMap::new(),
+            slot_of: Vec::new(),
+            id_at: Vec::new(),
+            marks: Fenwick::new(MIN_SLOTS),
         }
+    }
+
+    /// A profiler whose stack holds `recency`, least recent first.
+    fn from_recency(recency: &[u64]) -> Result<Self, serde::Error> {
+        let n = recency.len();
+        if n > MAX_DISTINCT {
+            return Err(serde::Error::custom(format!(
+                "an LRU stack of {n} pages exceeds the profiler's {MAX_DISTINCT}"
+            )));
+        }
+        let mut ids = HashMap::with_capacity(n);
+        for (id, &page) in recency.iter().enumerate() {
+            if ids.insert(page, id as u32).is_some() {
+                return Err(serde::Error::custom(format!(
+                    "page {page} appears twice in the LRU stack"
+                )));
+            }
+        }
+        let ordered: Vec<u32> = (0..n as u32).collect();
+        let slots = Self::slots_for(n);
+        let mut id_at = Vec::with_capacity(slots);
+        id_at.extend_from_slice(&ordered);
+        Ok(Self {
+            ids,
+            slot_of: ordered,
+            id_at,
+            marks: Fenwick::with_ones(slots, n),
+        })
     }
 
     /// Number of distinct pages seen so far.
     pub fn distinct_pages(&self) -> usize {
-        self.last_slot.len()
+        self.slot_of.len()
     }
 
     /// Observes one access and returns its stack distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2³¹ − 1 distinct pages, whose slots would not fit the
+    /// profiler's `u32` tables.
     pub fn observe(&mut self, page: u64) -> StackDistance {
-        if self.cursor == self.marks.len() {
+        if self.id_at.len() == self.marks.len() {
             self.compact();
         }
-        let slot = self.cursor;
-        self.cursor += 1;
-        let distance = match self.last_slot.insert(page, slot) {
-            None => StackDistance::Cold,
-            Some(prev) => {
-                let between = self.marks.range_sum(prev + 1, slot.saturating_sub(1));
+        let slot = self.id_at.len();
+        let distinct = self.slot_of.len();
+        let (id, distance) = match self.ids.entry(page) {
+            Entry::Vacant(entry) => {
+                entry.insert(distinct as u32);
+                self.slot_of.push(slot as u32);
+                (distinct as u32, StackDistance::Cold)
+            }
+            Entry::Occupied(entry) => {
+                let id = *entry.get();
+                let prev = std::mem::replace(&mut self.slot_of[id as usize], slot as u32) as usize;
+                // Every mark lies before `slot`, so the pages touched since
+                // `prev` are the marks after it.
+                let after = distinct as u64 - self.marks.prefix_sum(prev);
                 self.marks.add(prev, -1);
-                StackDistance::Position(between + 1)
+                (id, StackDistance::Position(after + 1))
             }
         };
+        self.id_at.push(id);
         self.marks.add(slot, 1);
         distance
     }
@@ -113,24 +171,67 @@ impl StackProfiler {
     /// this between periods — "the joint method does not reset the LRU list
     /// every period", §V-C — but tests and fresh simulations do).
     pub fn reset(&mut self) {
-        self.last_slot.clear();
-        self.marks = Fenwick::new(1024);
-        self.cursor = 0;
+        *self = Self::new();
     }
 
-    /// Re-packs slots to the current distinct pages, keeping recency order.
+    /// Slots to provide for `distinct` pages: room for as many accesses
+    /// again before the next compaction.
+    fn slots_for(distinct: usize) -> usize {
+        (2 * distinct).max(MIN_SLOTS)
+    }
+
+    /// Re-packs the marked slots to `0..distinct`, keeping recency order,
+    /// in one pass: slot `s` survives iff it is its id's most recent slot.
     fn compact(&mut self) {
-        let mut pages: Vec<(u64, usize)> = self.last_slot.iter().map(|(&p, &s)| (p, s)).collect();
-        pages.sort_by_key(|&(_, s)| s);
-        let n = pages.len();
-        let new_cap = (2 * n).max(1024);
-        let mut marks = Fenwick::new(new_cap);
-        for (i, (page, _)) in pages.into_iter().enumerate() {
-            self.last_slot.insert(page, i);
-            marks.add(i, 1);
+        assert!(
+            self.slot_of.len() <= MAX_DISTINCT,
+            "the stack profiler tracks at most {MAX_DISTINCT} distinct pages"
+        );
+        let mut kept = 0;
+        for slot in 0..self.id_at.len() {
+            let id = self.id_at[slot];
+            if self.slot_of[id as usize] as usize == slot {
+                self.slot_of[id as usize] = kept as u32;
+                self.id_at[kept] = id;
+                kept += 1;
+            }
         }
-        self.marks = marks;
-        self.cursor = n;
+        self.id_at.truncate(kept);
+        let slots = Self::slots_for(kept);
+        self.id_at.reserve_exact(slots - kept);
+        self.marks = Fenwick::with_ones(slots, kept);
+    }
+
+    /// The distinct pages in stack order, least recent first.
+    fn recency(&self) -> Vec<u64> {
+        let mut page_of = vec![0u64; self.slot_of.len()];
+        for (&page, &id) in &self.ids {
+            page_of[id as usize] = page;
+        }
+        self.id_at
+            .iter()
+            .enumerate()
+            .filter(|&(slot, &id)| self.slot_of[id as usize] as usize == slot)
+            .map(|(_, &id)| page_of[id as usize])
+            .collect()
+    }
+}
+
+// A snapshot holds only the stack order: ids, slots and the tree are
+// rebuilt from it, so equal stacks serialize equally however many
+// compactions each profiler has been through.
+impl Serialize for StackProfiler {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![("recency".to_string(), self.recency().to_value())])
+    }
+}
+
+impl Deserialize for StackProfiler {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let recency = value
+            .get("recency")
+            .ok_or_else(|| serde::Error::custom("missing field `recency` in StackProfiler"))?;
+        Self::from_recency(&Vec::<u64>::from_value(recency)?)
     }
 }
 
@@ -336,6 +437,31 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_keeps_the_stack_order_and_only_it() {
+        let mut a = StackProfiler::new();
+        let mut b = StackProfiler::new();
+        // `a` compacts several times, `b` never: same stack, same image.
+        for i in 0..3000u64 {
+            a.observe(i % 7);
+        }
+        for page in [5u64, 6, 4, 5, 6, 0, 1, 2, 3] {
+            b.observe(page);
+        }
+        assert_eq!(a.to_value(), b.to_value());
+        let mut restored = StackProfiler::from_value(&a.to_value()).unwrap();
+        for page in [3u64, 9, 4, 0, 9, 6] {
+            assert_eq!(restored.observe(page), a.observe(page));
+        }
+    }
+
+    #[test]
+    fn snapshot_naming_a_page_twice_is_refused() {
+        let value =
+            serde::Value::Object(vec![("recency".to_string(), vec![1u64, 2, 1].to_value())]);
+        assert!(StackProfiler::from_value(&value).is_err());
+    }
+
+    #[test]
     fn reset_forgets_history() {
         let mut p = StackProfiler::new();
         p.observe(1);
@@ -400,6 +526,24 @@ mod tests {
             // Cold misses remain at infinite capacity.
             let distinct: std::collections::HashSet<_> = seq.iter().collect();
             prop_assert_eq!(log.misses_at(u64::MAX), distinct.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        // Pages come from a sparse pool spanning all of `u64`, and every
+        // case makes enough accesses to compact several times.
+        #[test]
+        fn profiler_matches_naive_on_sparse_pages_across_compactions(
+            pool in proptest::collection::vec(any::<u64>(), 1..700),
+            picks in proptest::collection::vec(0usize..100_000, 2000..5000),
+        ) {
+            let seq: Vec<u64> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            let mut profiler = StackProfiler::new();
+            let got: Vec<StackDistance> = seq.iter().map(|&p| profiler.observe(p)).collect();
+            prop_assert_eq!(got, naive_distances(&seq));
+            let distinct: std::collections::HashSet<_> = seq.iter().collect();
+            prop_assert_eq!(profiler.distinct_pages(), distinct.len());
         }
     }
 }

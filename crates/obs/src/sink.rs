@@ -1,15 +1,15 @@
 //! Pluggable telemetry sinks: where emitted [`ObsRecord`]s go.
 
 use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jpmd_store::{
-    index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, SharedBackend, StorageFile,
-    INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
+    index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, SharedBackend, StorageBackend,
+    StorageFile, INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
 };
 use serde::{Deserialize, Serialize};
 
@@ -314,9 +314,10 @@ impl JsonlSink {
     }
 
     /// [`JsonlSink::resume`] through an explicit storage backend. The
-    /// trim-point *scan* reads the real file directly (recovery must see
-    /// what actually survived); only the writable handle and truncation
-    /// go through the backend.
+    /// trim-point *scan* reads the real files directly (recovery must see
+    /// what actually survived); every write — the WAL's handle and
+    /// truncation, and the `.jx` sidecar's trim or removal — goes through
+    /// the backend.
     ///
     /// # Errors
     ///
@@ -395,7 +396,7 @@ impl JsonlSink {
         };
         file.set_len(keep)?;
         file.seek(SeekFrom::Start(keep))?;
-        let index = trim_sidecar(path, from_seq, keep, index_stride);
+        let index = trim_sidecar(&*backend, path, from_seq, keep, index_stride);
         Ok(Self::from_parts(file, keep, index, policy))
     }
 
@@ -522,43 +523,41 @@ fn index_start_for_resume(path: &Path, from_seq: u64) -> std::io::Result<Option<
 /// no entry dangles into bytes about to be rewritten. With
 /// `reopen_stride` set, returns a live index writer over the trimmed
 /// sidecar (created fresh when missing/unreadable); sidecar failures
-/// degrade to an unindexed sink, never an error.
+/// degrade to an unindexed sink, never an error. Like the WAL's, the
+/// sidecar's entries are read from the real file, and every write goes
+/// through `backend`.
 fn trim_sidecar(
+    backend: &dyn StorageBackend,
     path: &Path,
     from_seq: u64,
     keep: u64,
     reopen_stride: Option<u32>,
 ) -> Option<IndexState> {
     let ipath = index_path(path);
-    if ipath.exists() {
-        match PeriodIndex::load(&ipath) {
-            Ok(index) => {
-                let valid = index
-                    .entries
-                    .iter()
-                    .take_while(|e| e.seq < from_seq && e.offset < keep)
-                    .count();
-                let len = INDEX_HEADER_BYTES as u64 + (valid * INDEX_ENTRY_BYTES) as u64;
-                if let Ok(f) = OpenOptions::new().write(true).open(&ipath) {
-                    if f.set_len(len).is_err() {
-                        std::fs::remove_file(&ipath).ok();
-                    }
-                } else {
-                    std::fs::remove_file(&ipath).ok();
-                }
-            }
-            Err(_) => {
-                // An unreadable sidecar is worse than none.
-                std::fs::remove_file(&ipath).ok();
-            }
+    if backend.exists(&ipath) {
+        let trimmed = PeriodIndex::load(&ipath).ok().and_then(|index| {
+            let valid = index
+                .entries
+                .iter()
+                .take_while(|e| e.seq < from_seq && e.offset < keep)
+                .count();
+            let len = INDEX_HEADER_BYTES as u64 + (valid * INDEX_ENTRY_BYTES) as u64;
+            backend
+                .open_rw(&ipath)
+                .and_then(|mut f| f.set_len(len))
+                .ok()
+        });
+        if trimmed.is_none() {
+            // An unreadable or untrimmable sidecar is worse than none.
+            backend.remove_file(&ipath).ok();
         }
     }
     let stride = reopen_stride?;
-    let writer = if ipath.exists() {
-        PeriodIndexWriter::open_append(&ipath)
-            .or_else(|_| PeriodIndexWriter::create(&ipath, stride))
+    let writer = if backend.exists(&ipath) {
+        PeriodIndexWriter::open_append_on(backend, &ipath)
+            .or_else(|_| PeriodIndexWriter::create_on(backend, &ipath, stride))
     } else {
-        PeriodIndexWriter::create(&ipath, stride)
+        PeriodIndexWriter::create_on(backend, &ipath, stride)
     };
     writer.ok().map(|writer| IndexState {
         // Stride-counting restarts after a resume; entries stay sparse
@@ -817,7 +816,10 @@ mod tests {
         // Simulate a torn trailing write from a crash.
         {
             use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             write!(f, "{{\"seq\":9,").unwrap();
         }
         {
@@ -875,6 +877,95 @@ mod tests {
             assert_eq!(rec.seq, entry.seq, "entry points at its own line");
             assert_eq!(rec.event.period(), Some(entry.period));
         }
+        std::fs::remove_file(index_path(&path)).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Real files, except that every operation on a `.jx` path fails.
+    #[derive(Debug)]
+    struct SidecarOutage;
+
+    impl SidecarOutage {
+        fn check(path: &Path) -> std::io::Result<()> {
+            if path.extension().is_some_and(|ext| ext == "jx") {
+                Err(std::io::Error::other("injected sidecar outage"))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    impl StorageBackend for SidecarOutage {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+            Self::check(path)?;
+            jpmd_store::RealFs.create(path)
+        }
+
+        fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+            Self::check(path)?;
+            jpmd_store::RealFs.open_rw(path)
+        }
+
+        fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+            Self::check(path)?;
+            jpmd_store::RealFs.open_append(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            Self::check(from)?;
+            Self::check(to)?;
+            std::fs::rename(from, to)
+        }
+
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            Self::check(path)?;
+            std::fs::remove_file(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            path.exists()
+        }
+
+        fn sync_parent_dir(&self, path: &Path) -> std::io::Result<()> {
+            Self::check(path)?;
+            jpmd_store::sync_parent_dir(path)
+        }
+    }
+
+    #[test]
+    fn resume_on_a_backend_that_fails_the_sidecar_leaves_the_real_one_untouched() {
+        let path = std::env::temp_dir().join(format!(
+            "jpmd_obs_sidecar_outage_{}.jsonl",
+            std::process::id()
+        ));
+        {
+            let sink = JsonlSink::create_indexed(&path, WalPolicy::default(), 1).unwrap();
+            for seq in 0..8u64 {
+                sink.emit(&period_record(seq, seq));
+            }
+        }
+        let sidecar = std::fs::read(index_path(&path)).unwrap();
+        {
+            let backend = SharedBackend::new(Arc::new(SidecarOutage));
+            let sink = JsonlSink::resume_on(backend, &path, 4, WalPolicy::default()).unwrap();
+            assert_eq!(
+                sink.wal_index().unwrap().index_entries,
+                0,
+                "resumed unindexed"
+            );
+            sink.emit(&period_record(4, 4));
+        }
+        assert_eq!(
+            std::fs::read(index_path(&path)).unwrap(),
+            sidecar,
+            "the sidecar's writes must go through the backend"
+        );
+        let wal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            wal.lines().count(),
+            5,
+            "WAL trimmed to seq 4, then appended"
+        );
         std::fs::remove_file(index_path(&path)).ok();
         std::fs::remove_file(&path).ok();
     }

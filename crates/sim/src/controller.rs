@@ -134,6 +134,18 @@ pub trait PeriodController {
         "static"
     }
 
+    /// Whether [`PeriodController::on_period_end`] reads its
+    /// [`AccessLog`]. The default, `true`, keeps the stack profiler and
+    /// the log running for every access. A controller that ignores the log
+    /// returns `false`, and the run then hands it empty logs and skips
+    /// the profiler's per-page work. [`Simulation`](crate::Simulation)
+    /// asks once, at start; a controller whose answer could change
+    /// mid-run (a degradation guard that may re-promote a joint policy)
+    /// must stay `true`, since that policy needs unbroken history.
+    fn reads_access_log(&self) -> bool {
+        true
+    }
+
     /// The controller's internal state (learned models, period counters)
     /// as a serializable value, captured into checkpoints. The default
     /// ([`serde::Value::Null`]) is correct for stateless controllers such
@@ -171,6 +183,10 @@ impl<C: PeriodController + ?Sized> PeriodController for &mut C {
         (**self).name()
     }
 
+    fn reads_access_log(&self) -> bool {
+        (**self).reads_access_log()
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         (**self).snapshot_state()
     }
@@ -195,6 +211,10 @@ impl<C: PeriodController + ?Sized> PeriodController for Box<C> {
         (**self).name()
     }
 
+    fn reads_access_log(&self) -> bool {
+        (**self).reads_access_log()
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         (**self).snapshot_state()
     }
@@ -211,6 +231,10 @@ pub struct NullController;
 impl PeriodController for NullController {
     fn on_period_end(&mut self, _: &PeriodObservation, _: &AccessLog) -> ControlAction {
         ControlAction::default()
+    }
+
+    fn reads_access_log(&self) -> bool {
+        false
     }
 }
 
@@ -257,6 +281,10 @@ impl<C: PeriodController> PeriodController for TimedController<C> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn reads_access_log(&self) -> bool {
+        self.inner.reads_access_log()
     }
 
     fn snapshot_state(&self) -> serde::Value {

@@ -293,6 +293,8 @@ impl<'a, C: PeriodController> Simulation<'a, C> {
         let mut controller =
             TimedController::new(self.controller, spans.clone(), telemetry.clone());
         controller.on_start(config.array, total_pages);
+        // Before any restore, so a resumed run keeps the same switch.
+        hw.mem.set_profiling(controller.reads_access_log());
         let mut stepper = PolicyStepper {
             replay_span: Some(spans.time_with("engine.replay", &telemetry)),
             started: Instant::now(),

@@ -62,8 +62,11 @@ impl SkippedPages {
 pub struct TraceReader<R: Read> {
     input: R,
     header: Header,
+    /// The current page's bytes. It grows with the bytes that arrive, so a
+    /// header's page size allocates nothing by itself, and is reused from
+    /// page to page.
     page: Vec<u8>,
-    /// Decoded records of the current page.
+    /// Decoded records of the current page, grown as they decode.
     buffered: Vec<TraceRecord>,
     cursor: usize,
     pages_read: u64,
@@ -101,6 +104,8 @@ impl TraceReader<BufReader<File>> {
 
 impl<R: Read> TraceReader<R> {
     /// Wraps `input`, reading and validating the header immediately.
+    /// Nothing is sized from the header before a page's bytes arrive: a
+    /// header is a claim about the file, not a measure of it.
     ///
     /// # Errors
     ///
@@ -109,8 +114,8 @@ impl<R: Read> TraceReader<R> {
         let header = Header::read(&mut input)?;
         Ok(Self {
             input,
-            page: vec![0u8; header.page_size as usize],
-            buffered: Vec::with_capacity(header.capacity() as usize),
+            page: Vec::new(),
+            buffered: Vec::new(),
             header,
             cursor: 0,
             pages_read: 0,
@@ -178,13 +183,14 @@ impl<R: Read> TraceReader<R> {
     /// consumed from the input before validation begins.
     fn load_page(&mut self) -> Result<(), StoreError> {
         let page = self.pages_read + 1; // 1-based in errors; 0 is the header
-        self.input.read_exact(&mut self.page).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                StoreError::Truncated { page }
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
+        let page_size = u64::from(self.header.page_size);
+        self.page.clear();
+        let read = (&mut self.input)
+            .take(page_size)
+            .read_to_end(&mut self.page)?;
+        if (read as u64) < page_size {
+            return Err(StoreError::Truncated { page });
+        }
         self.pages_read += 1;
         let prev_time = self.prev_time;
         let result = self.decode_page(page);

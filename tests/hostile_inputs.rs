@@ -6,18 +6,27 @@
 //! loader must read its whole input, the 4× run may take at most 5× the
 //! 1× run; the base sizes make the 1× run take tens of milliseconds in a
 //! debug build, and the ratio is only checked when it does.
+//!
+//! Memory follows the same rule: what a loader or a per-page table
+//! allocates is bounded by the bytes or pages actually seen, never by a
+//! size a header, a client or a page number claims.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use jpmd::mem::StackProfiler;
+use jpmd::store::format::MAX_PAGE_SIZE;
 use jpmd::store::frame::{CHECKPOINT, TRACE};
 use jpmd::store::{read_trace, Header, PeriodIndex, PeriodIndexWriter, StoreError};
 use jpmd::store::{TraceReader, TraceWriter};
 use jpmd::trace::{AccessKind, FileId, Trace, TraceRecord};
 use jpmd_ckpt::{load_checkpoint, CkptError};
-use jpmd_obs::ObsRecord;
+use jpmd_obs::{ObsRecord, Telemetry};
+use jpmd_serve::{build_stepper, ServeConfig};
 
 /// Counts the bytes each thread asks the allocator for, so a case can
 /// bound what a loader reserves, touched or not.
@@ -217,6 +226,103 @@ fn jpt_whose_header_claims_2_to_the_40_records_reads_only_its_pages() {
             other => panic!("expected Truncated, got {other:?}"),
         }
     });
+}
+
+/// The bytes `load` asks the allocator for.
+fn allocated_by<T>(load: impl FnOnce() -> T) -> (usize, T) {
+    let before = requested();
+    let out = load();
+    (requested() - before, out)
+}
+
+#[test]
+fn jpt_whose_header_claims_16_mib_pages_allocates_by_the_bytes_present() {
+    let header = Header {
+        page_size: MAX_PAGE_SIZE,
+        page_bytes: 4096,
+        total_pages: 1000,
+        record_count: 1000,
+    };
+    // The bare 64-byte header, then a first page cut off after `bytes`.
+    let bare = TempFile::new("huge-pages.jpt", 0, &header.encode());
+    let size = TRACE.header_bytes;
+    let (allocated, reader) = allocated_by(|| TraceReader::open(&bare.0));
+    assert!(reader.is_ok(), "a valid header opens");
+    assert!(
+        allocated <= 2 * size + (1 << 16),
+        "opening a {size}-byte file asked for {allocated} bytes"
+    );
+    let build = |bytes: usize| {
+        let mut file = header.encode().to_vec();
+        file.extend((0..bytes).map(|i| (i * 31 % 251) as u8));
+        TempFile::new("huge-pages.jpt", bytes, &file)
+    };
+    check_scaling("jpt 16 MiB pages", 1 << 20, true, build, |file| {
+        let size = std::fs::metadata(&file.0).unwrap().len() as usize;
+        let (allocated, first) = allocated_by(|| TraceReader::open(&file.0).unwrap().next());
+        assert!(
+            matches!(first, Some(Err(StoreError::Truncated { page: 1 }))),
+            "{first:?}"
+        );
+        assert!(
+            allocated <= 2 * size + (1 << 16),
+            "reading a {size}-byte file asked for {allocated} bytes"
+        );
+    });
+}
+
+#[test]
+fn profiler_memory_depends_on_distinct_pages_not_page_numbers() {
+    let profile = |pages: &mut dyn Iterator<Item = u64>| {
+        allocated_by(|| {
+            let mut profiler = StackProfiler::new();
+            for page in pages {
+                profiler.observe(page);
+            }
+            profiler
+        })
+        .0
+    };
+    let dense = profile(&mut (0..10_000u64));
+    let spread = profile(&mut (0..10_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1));
+    assert!(
+        spread <= 2 * dense,
+        "pages over 0..2^63 took {spread} bytes, pages 0..10000 {dense}"
+    );
+}
+
+#[test]
+fn serve_tenant_of_2_to_the_40_pages_costs_what_a_small_one_does() {
+    let stepper_bytes = |pages: u64, page: u64| {
+        let mut cfg = ServeConfig::new(std::env::temp_dir().join("jpmd-hostile-serve"));
+        cfg.telemetry = false;
+        allocated_by(|| {
+            let mut stepper = build_stepper(
+                &cfg,
+                "tenant",
+                pages,
+                &Telemetry::disabled(),
+                Arc::new(AtomicBool::new(false)),
+                None,
+            )
+            .expect("tenant stepper");
+            stepper.feed(TraceRecord {
+                time: 1.0,
+                file: FileId(0),
+                first_page: page,
+                pages: 1,
+                kind: AccessKind::Read,
+            });
+            stepper
+        })
+        .0
+    };
+    let small = stepper_bytes(4096, 0);
+    let huge = stepper_bytes(1 << 40, (1 << 40) - 1);
+    assert!(
+        huge <= small + (1 << 20),
+        "a 2^40-page tenant took {huge} bytes, a 4096-page one {small}"
+    );
 }
 
 #[test]

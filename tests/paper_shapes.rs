@@ -189,3 +189,44 @@ fn normalization_is_consistent() {
     let frac = joint.normalized_total(&base);
     assert!(frac > 0.0 && frac < 1.0);
 }
+
+#[test]
+fn joint_has_the_lowest_energy_of_all_16_methods_at_4_gb() {
+    // EXPERIMENTS.md, fig. 7 at 4 GB: "Joint has the best energy … best
+    // of all 16", at the quick point of `figures fig7 --quick`. The full
+    // scale, since the small one cannot install FM-8 through FM-128.
+    let scale = SimScale::default();
+    let (warmup, duration, period) = (1800.0, 5400.0, 600.0);
+    let trace = WorkloadBuilder::new()
+        .data_set_bytes(4 * GIB)
+        .rate_bytes_per_sec(100 * MIB)
+        .popularity(0.1)
+        .page_bytes(scale.page_bytes)
+        .duration_secs(duration)
+        .seed(42)
+        .build()
+        .expect("workload generation");
+    let energies: Vec<(String, f64)> = methods::paper_suite(&scale, &[8, 16, 32, 64, 128])
+        .iter()
+        .map(|spec| {
+            let report = methods::run_method(spec, &scale, &trace, warmup, duration, period);
+            (spec.label.clone(), report.energy.total_j())
+        })
+        .collect();
+    assert_eq!(energies.len(), 16);
+    let (joint, joint_j) = energies.last().expect("the suite ends with Joint");
+    assert_eq!(joint, "Joint");
+    let always_on_j = energies[0].1;
+    let table: Vec<String> = energies
+        .iter()
+        .map(|(label, j)| format!("{label} {:.2}%", 100.0 * j / always_on_j))
+        .collect();
+    println!("{}", table.join(", "));
+    for (label, j) in &energies[..15] {
+        assert!(
+            joint_j < j,
+            "Joint must use less energy than {label}: {}",
+            table.join(", ")
+        );
+    }
+}
