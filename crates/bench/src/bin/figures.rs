@@ -1,4 +1,5 @@
-//! Regenerates the paper's figures and tables, one per subcommand:
+//! Regenerates the paper's figures and tables, and runs its extension
+//! experiments, one per subcommand:
 //!
 //! ```text
 //! figures fig1       Fig. 1 power models and the Table II parameter values
@@ -19,12 +20,28 @@
 //! figures table5     Table V: joint-method sensitivity to the bank size
 //! figures ablation   ablations of the joint method's design choices
 //!                    (DESIGN.md §"Design choices to ablate")
+//! figures array      the joint method over 1, 2 and 4 disks, partitioned
+//!                    and striped (§VI)
+//! figures cluster    balanced vs unbalanced request distribution over four
+//!                    servers (§II-B, §VI)
+//! figures drpm       multi-speed disk vs spin-down on fixed request streams
+//!                    (§VI); ignores `--quick`
+//! figures varying    hourly busy/quiet load phases; also prints the joint
+//!                    method's per-period decisions, which it does not save
+//! figures writeback  flush-interval sweep of a 30 %-write workload
+//! figures pareto_validation
+//!                    Pareto vs exponential fits of the disk idle intervals
+//!                    (§IV-C)
+//! figures csv <results/file.json>
+//!                    writes each table of a saved result as CSV beside it
 //! ```
 //!
-//! Every subcommand but `fig1` prints its tables and saves
-//! `results/<name>.json`. `--quick` runs a shorter simulation and
-//! `--bars` also renders each column of `fig7`/`fig8` as a bar chart.
-//! A missing or unknown name prints this usage and exits 2 (the
+//! Every experiment but `fig1` prints its tables and saves
+//! `results/<name>.json`; the doc of its function in
+//! [`jpmd_bench::experiments`] states the shape to expect. `--quick` runs
+//! a shorter simulation and `--bars` also renders each column of
+//! `fig7`/`fig8` as a bar chart. A missing or unknown name, or a bad
+//! `--part`, prints this usage and exits 2 before anything runs (the
 //! `jpmd_store::cli` convention).
 
 use std::process::ExitCode;
@@ -33,13 +50,15 @@ use jpmd_bench::{experiments, write_json, ExperimentConfig, Table};
 use jpmd_core::SimScale;
 use jpmd_disk::{DiskPowerModel, ServiceModel};
 use jpmd_mem::RdramModel;
-use jpmd_store::cli::{exit_with, require, CliError};
+use jpmd_store::cli::{exit_with, require, runtime, CliError};
 
 const USAGE: &str = "usage: figures <name> [--quick] [--bars] [--part rate|popularity]
+       figures csv <results/file.json>
 
 names: fig1 fig5 fig7 fig8 fig9 table3 table4 table5 ablation
-(--bars applies to fig7 and fig8, --part to fig8; each name but fig1
-saves results/<name>.json)";
+       array cluster drpm varying writeback pareto_validation
+(--bars applies to fig7 and fig8, --part to fig8; drpm ignores --quick;
+each name but fig1 saves results/<name>.json)";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let name = require(args, 1, "name")?;
@@ -49,19 +68,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
             fig1();
             return Ok(());
         }
-        "fig5" => return print_and_save("fig5", experiments::fig5()),
+        "csv" => return write_csv(require(args, 2, "results/file.json")?),
+        "fig5" => return print_and_save(name, experiments::fig5()),
         "fig7" => experiments::fig7(&cfg),
         "fig8" => {
-            let part = args
-                .iter()
-                .position(|a| a == "--part")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
+            let part = fig8_part(args)?;
             let mut tables = Vec::new();
-            if part.is_none() || part == Some("rate") {
+            if part != Some("popularity") {
                 tables.extend(experiments::fig8_rate(&cfg));
             }
-            if part.is_none() || part == Some("popularity") {
+            if part != Some("rate") {
                 tables.extend(experiments::fig8_popularity(&cfg));
             }
             tables
@@ -70,15 +86,26 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let (series, summary) = experiments::fig9(&cfg);
             vec![series, summary]
         }
-        "table3" => return print_and_save("table3", experiments::table3(&cfg)),
-        "table4" => return print_and_save("table4", experiments::table4(&cfg)),
-        "table5" => return print_and_save("table5", experiments::table5(&cfg)),
+        "table3" => return print_and_save(name, experiments::table3(&cfg)),
+        "table4" => return print_and_save(name, experiments::table4(&cfg)),
+        "table5" => return print_and_save(name, experiments::table5(&cfg)),
         "ablation" => vec![
             experiments::ablation_constraints(&cfg),
             experiments::ablation_window(&cfg),
             experiments::ablation_power_aware(&cfg),
             experiments::ablation_timeout_policies(&cfg),
         ],
+        "array" => return print_and_save(name, experiments::array(&cfg)),
+        "cluster" => return print_and_save(name, experiments::cluster(&cfg)),
+        "drpm" => return print_and_save(name, experiments::drpm()),
+        "varying" => {
+            let (table, joint_periods) = experiments::varying(&cfg);
+            table.print();
+            joint_periods.print();
+            return Ok(write_json(name, &table)?);
+        }
+        "writeback" => return print_and_save(name, experiments::writeback(&cfg)),
+        "pareto_validation" => return print_and_save(name, experiments::pareto_validation(&cfg)),
         unknown => return Err(CliError::Usage(format!("unknown figure '{unknown}'"))),
     };
     for t in &tables {
@@ -96,10 +123,51 @@ fn run(args: &[String]) -> Result<(), CliError> {
     Ok(write_json(name, &tables)?)
 }
 
+/// The half of Fig. 8 that `--part` selects, `None` for both. A `--part`
+/// without a known value is refused before anything runs: running
+/// neither half would overwrite the saved figure with nothing.
+fn fig8_part(args: &[String]) -> Result<Option<&str>, CliError> {
+    let Some(i) = args.iter().position(|a| a == "--part") else {
+        return Ok(None);
+    };
+    match args.get(i + 1).map(String::as_str) {
+        Some(part @ ("rate" | "popularity")) => Ok(Some(part)),
+        Some(other) => Err(CliError::Usage(format!(
+            "--part must be rate or popularity, got '{other}'"
+        ))),
+        None => Err(CliError::Usage("--part needs a value".into())),
+    }
+}
+
 /// A single-table result is saved as the table itself, not a list.
 fn print_and_save(name: &str, table: Table) -> Result<(), CliError> {
     table.print();
     Ok(write_json(name, &table)?)
+}
+
+/// Writes each table of the saved result at `path` (one table or a list)
+/// as CSV beside it: `<stem>.csv` for one table, `<stem>.<n>.csv` for
+/// the n-th of several.
+fn write_csv(path: &str) -> Result<(), CliError> {
+    let raw =
+        std::fs::read_to_string(path).map_err(|e| runtime(format!("cannot read {path}: {e}")))?;
+    let tables: Vec<Table> = match serde_json::from_str::<Vec<Table>>(&raw) {
+        Ok(tables) => tables,
+        Err(_) => vec![serde_json::from_str::<Table>(&raw)
+            .map_err(|e| runtime(format!("{path} holds no result tables: {e}")))?],
+    };
+    let stem = path.trim_end_matches(".json");
+    for (i, t) in tables.iter().enumerate() {
+        let out = if tables.len() == 1 {
+            format!("{stem}.csv")
+        } else {
+            format!("{stem}.{i}.csv")
+        };
+        std::fs::write(&out, t.to_csv())
+            .map_err(|e| runtime(format!("cannot write {out}: {e}")))?;
+        println!("wrote {out} ({})", t.title);
+    }
+    Ok(())
 }
 
 /// Prints the power-model tables of paper Fig. 1 and the parameter values

@@ -1,12 +1,18 @@
-//! The paper's evaluation experiments (§V), one function per table/figure.
+//! The paper's evaluation experiments (§V) and its §VI extensions, one
+//! function per table, figure or experiment.
 
 use jpmd_core::{methods, JointConfig, JointPolicy, SimScale};
-use jpmd_disk::SpinDownPolicy;
-use jpmd_mem::IdlePolicy;
+use jpmd_disk::{
+    Disk, DiskPowerModel, Layout, MultiSpeedDisk, MultiSpeedModel, ServiceModel, SpeedPolicy,
+    SpinDownPolicy,
+};
+use jpmd_mem::{AccessLog, IdlePolicy, StackProfiler};
 use jpmd_obs::{MemorySink, Telemetry};
-use jpmd_sim::{RunReport, Simulation};
-use jpmd_stats::Pareto;
-use jpmd_trace::{Trace, WorkloadBuilder, GIB, MIB};
+use jpmd_sim::{ArrayConfig, NullController, PeriodController, RunReport, SimConfig, Simulation};
+use jpmd_stats::{fit, ks_statistic, Exponential, IdleIntervals, Pareto};
+use jpmd_trace::{synth, ArrivalModel, Trace, TraceRecord, WorkloadBuilder, GIB, MIB};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::report::Table;
 use crate::runner::{self, MethodError};
@@ -56,6 +62,15 @@ impl ExperimentConfig {
         } else {
             Self::standard()
         }
+    }
+
+    /// The scale's simulation config with `initial_banks` banks under
+    /// `policy`, measured over this config's warm-up and periods.
+    fn sim_config(&self, policy: IdlePolicy, initial_banks: u32) -> SimConfig {
+        let mut sim = self.scale.sim_config(policy, initial_banks);
+        sim.warmup_secs = self.warmup_secs;
+        sim.period_secs = self.period_secs;
+        sim
     }
 }
 
@@ -133,17 +148,24 @@ fn run_with(
     trace: &Trace,
     telemetry: &Telemetry,
 ) -> RunReport {
-    methods::simulation(
+    let sim = methods::simulation(
         spec,
         &cfg.scale,
         cfg.warmup_secs,
         cfg.period_secs,
         telemetry,
     )
-    .and_then(|sim| sim.run(trace.source(), cfg.duration_secs))
-    .expect("in-memory trace sources cannot fail")
-    .into_report()
-    .expect("no checkpoint policy was installed")
+    .expect("the paper's methods configure validly");
+    replay(sim, trace, cfg.duration_secs)
+}
+
+/// Replays all of `trace` up to `duration` through `sim`: the one batch
+/// run every experiment here is built on.
+fn replay<C: PeriodController>(sim: Simulation<'_, C>, trace: &Trace, duration: f64) -> RunReport {
+    sim.run(trace.source(), duration)
+        .expect("in-memory trace sources cannot fail")
+        .into_report()
+        .expect("no checkpoint policy was installed")
 }
 
 /// The paper's FM sizes, GiB.
@@ -593,24 +615,19 @@ pub fn ablation_constraints(cfg: &ExperimentConfig) -> Table {
         ],
     );
     for (label, enforce) in [("joint (constrained)", true), ("joint (power-only)", false)] {
-        let mut sim = cfg
-            .scale
-            .sim_config(IdlePolicy::Nap, cfg.scale.total_banks());
-        sim.warmup_secs = cfg.warmup_secs;
-        sim.period_secs = cfg.period_secs;
+        let sim = cfg.sim_config(IdlePolicy::Nap, cfg.scale.total_banks());
         let mut jcfg = JointConfig::from_sim(&sim);
         jcfg.enforce_performance = enforce;
-        let mut controller = JointPolicy::new(jcfg);
-        let r = Simulation::new(
-            &sim,
-            SpinDownPolicy::controlled(f64::INFINITY),
-            &mut controller,
-            label,
-        )
-        .run(trace.source(), cfg.duration_secs)
-        .expect("in-memory trace sources cannot fail")
-        .into_report()
-        .expect("no checkpoint policy was installed");
+        let r = replay(
+            Simulation::new(
+                &sim,
+                SpinDownPolicy::controlled(f64::INFINITY),
+                JointPolicy::new(jcfg),
+                label,
+            ),
+            &trace,
+            cfg.duration_secs,
+        );
         table.push(
             label,
             vec![
@@ -707,14 +724,12 @@ pub fn ablation_timeout_policies(cfg: &ExperimentConfig) -> Table {
     ];
     for (label, policy) in policies {
         let spec = methods::fixed_memory(&cfg.scale, methods::DiskPolicyKind::TwoCompetitive, 16);
-        let mut sim = cfg.scale.sim_config(spec.mem_policy, spec.initial_banks);
-        sim.warmup_secs = cfg.warmup_secs;
-        sim.period_secs = cfg.period_secs;
-        let r = Simulation::new(&sim, policy, &mut jpmd_sim::NullController, label)
-            .run(trace.source(), cfg.duration_secs)
-            .expect("in-memory trace sources cannot fail")
-            .into_report()
-            .expect("no checkpoint policy was installed");
+        let sim = cfg.sim_config(spec.mem_policy, spec.initial_banks);
+        let r = replay(
+            Simulation::new(&sim, policy, NullController, label),
+            &trace,
+            cfg.duration_secs,
+        );
         table.push(
             label,
             vec![
@@ -738,23 +753,18 @@ pub fn ablation_window(cfg: &ExperimentConfig) -> Table {
         vec!["total%".into(), "long/s".into()],
     );
     for w in [0.05, 0.1, 0.5, 1.0] {
-        let mut sim = cfg
-            .scale
-            .sim_config(IdlePolicy::Nap, cfg.scale.total_banks());
-        sim.warmup_secs = cfg.warmup_secs;
-        sim.period_secs = cfg.period_secs;
+        let mut sim = cfg.sim_config(IdlePolicy::Nap, cfg.scale.total_banks());
         sim.aggregation_window_secs = w;
-        let mut controller = JointPolicy::new(JointConfig::from_sim(&sim));
-        let r = Simulation::new(
-            &sim,
-            SpinDownPolicy::controlled(f64::INFINITY),
-            &mut controller,
-            "joint",
-        )
-        .run(trace.source(), cfg.duration_secs)
-        .expect("in-memory trace sources cannot fail")
-        .into_report()
-        .expect("no checkpoint policy was installed");
+        let r = replay(
+            Simulation::new(
+                &sim,
+                SpinDownPolicy::controlled(f64::INFINITY),
+                JointPolicy::new(JointConfig::from_sim(&sim)),
+                "joint",
+            ),
+            &trace,
+            cfg.duration_secs,
+        );
         table.push(
             format!("w = {w} s"),
             vec![
@@ -763,6 +773,529 @@ pub fn ablation_window(cfg: &ExperimentConfig) -> Table {
             ],
         );
         eprintln!("ablation window: w={w} done");
+    }
+    table
+}
+
+/// Multi-disk extension (paper §VI future work): the joint method over a
+/// disk array, across member counts and data layouts.
+///
+/// Expected shape: the partitioned layout consolidates idleness on cold
+/// members (they spin down; cf. Pinheiro & Bianchini, paper ref. \[31\]),
+/// while striping keeps every member awake; the joint policy, deciding
+/// each member's timeout, beats per-disk static timeouts on total energy
+/// at a higher long-latency rate.
+pub fn array(cfg: &ExperimentConfig) -> Table {
+    let trace = make_trace(cfg, WorkloadPoint::default_point());
+    let mut table = Table::new(
+        "Multi-disk extension: 16 GB, 100 MB/s, popularity 0.1",
+        vec![
+            "total_kJ".into(),
+            "disk_kJ".into(),
+            "mem_kJ".into(),
+            "spins".into(),
+            "long/s".into(),
+            "lat_ms".into(),
+        ],
+    );
+    for disks in [1usize, 2, 4] {
+        for (layout, lname) in [
+            (Layout::Partitioned, "part"),
+            (Layout::Striped { stripe_pages: 16 }, "stripe"),
+        ] {
+            let mut sim = cfg.sim_config(IdlePolicy::Nap, cfg.scale.total_banks());
+            sim.array = ArrayConfig { disks, layout };
+            let runs: [(&str, SpinDownPolicy, Box<dyn PeriodController>); 3] = [
+                (
+                    "always-on",
+                    SpinDownPolicy::AlwaysOn,
+                    Box::new(NullController),
+                ),
+                (
+                    "2T",
+                    SpinDownPolicy::two_competitive(&sim.disk_power),
+                    Box::new(NullController),
+                ),
+                (
+                    "joint",
+                    SpinDownPolicy::controlled(f64::INFINITY),
+                    Box::new(JointPolicy::new(JointConfig::from_sim(&sim))),
+                ),
+            ];
+            for (method, spindown, controller) in runs {
+                let r = replay(
+                    Simulation::new(&sim, spindown, controller, method),
+                    &trace,
+                    cfg.duration_secs,
+                );
+                table.push(
+                    format!("{disks}d/{lname}/{method}"),
+                    vec![
+                        r.energy.total_j() / 1e3,
+                        r.energy.disk.total_j() / 1e3,
+                        r.energy.mem.total_j() / 1e3,
+                        r.spin_downs as f64,
+                        r.long_latency_per_sec(),
+                        r.mean_latency_secs * 1e3,
+                    ],
+                );
+                eprintln!("array: {disks}d {lname} {method} done");
+            }
+        }
+    }
+    table
+}
+
+/// Servers sharing the [`cluster`] experiment's workload.
+const CLUSTER_SERVERS: usize = 4;
+/// Per-server admission cap of [`cluster`]'s unbalanced scheme, bytes/s.
+const CLUSTER_RATE_CAP: f64 = 120.0 * MIB as f64;
+
+/// Server-cluster request distribution: the paper's §II-B related work
+/// (Pinheiro et al.'s *workload unbalancing* \[4\]; Rajamani & Lefurgy's
+/// request-distribution study \[5\]) layered on top of per-server joint
+/// power management, as the paper's conclusion proposes ("the combination
+/// of the joint method with server clusters' workload distribution will be
+/// a topic for future study").
+///
+/// Four replicated-content servers take a 200 MB/s aggregate workload
+/// under two request-distribution schemes:
+///
+/// * **balanced**: round-robin; every server sees ~50 MB/s and must cache
+///   its own copy of the hot set;
+/// * **unbalanced**: requests concentrate on the fewest servers that stay
+///   under a per-server rate cap; the spare servers idle, letting their
+///   joint managers shrink memory to the floor and spin the disks down.
+///
+/// Expected shape: unbalanced + joint wins (duplicated hot-set caching is
+/// the balanced scheme's hidden cost), and the joint manager amplifies the
+/// gap because idle servers decay to near-zero power.
+pub fn cluster(cfg: &ExperimentConfig) -> Table {
+    let point = WorkloadPoint {
+        data_gb: 16,
+        rate_mb: 200,
+        popularity: 0.1,
+    };
+    let aggregate = make_trace(cfg, point);
+    let mut table = Table::new(
+        "Cluster request distribution: 4 servers, 200 MB/s aggregate",
+        vec![
+            "total_kJ".into(),
+            "mem_kJ".into(),
+            "disk_kJ".into(),
+            "long/s".into(),
+            "busiest_server_kJ".into(),
+            "idlest_server_kJ".into(),
+        ],
+    );
+    for (dist, balanced) in [("balanced", true), ("unbalanced", false)] {
+        let shares = split_across_servers(&aggregate, balanced);
+        for (method, spec) in [
+            ("always-on", methods::always_on(&cfg.scale)),
+            ("joint", methods::joint(&cfg.scale)),
+        ] {
+            let mut total = 0.0;
+            let mut mem = 0.0;
+            let mut disk = 0.0;
+            let mut long = 0.0;
+            let mut per_server_kj = Vec::new();
+            for share in &shares {
+                let r = run(cfg, &spec, share);
+                total += r.energy.total_j();
+                mem += r.energy.mem.total_j();
+                disk += r.energy.disk.total_j();
+                long += r.long_latency_per_sec();
+                per_server_kj.push(r.energy.total_j() / 1e3);
+            }
+            per_server_kj.sort_by(f64::total_cmp);
+            table.push(
+                format!("{dist}/{method}"),
+                vec![
+                    total / 1e3,
+                    mem / 1e3,
+                    disk / 1e3,
+                    long,
+                    per_server_kj[per_server_kj.len() - 1],
+                    per_server_kj[0],
+                ],
+            );
+            eprintln!("cluster: {dist}/{method} done");
+        }
+    }
+    table
+}
+
+/// Splits one aggregate trace into [`CLUSTER_SERVERS`] per-server traces:
+/// round-robin when `balanced`, else onto the first server with room
+/// under [`CLUSTER_RATE_CAP`] in its current 1-s admission window.
+fn split_across_servers(trace: &Trace, balanced: bool) -> Vec<Trace> {
+    let mut per_server: Vec<Vec<TraceRecord>> = vec![Vec::new(); CLUSTER_SERVERS];
+    if balanced {
+        for (i, r) in trace.records().iter().enumerate() {
+            per_server[i % CLUSTER_SERVERS].push(*r);
+        }
+    } else {
+        let mut window_start = [0.0f64; CLUSTER_SERVERS];
+        let mut window_bytes = [0u64; CLUSTER_SERVERS];
+        for r in trace.records() {
+            let bytes = r.pages * trace.page_bytes();
+            let mut placed = CLUSTER_SERVERS - 1;
+            for s in 0..CLUSTER_SERVERS {
+                if r.time - window_start[s] >= 1.0 {
+                    window_start[s] = r.time;
+                    window_bytes[s] = 0;
+                }
+                if (window_bytes[s] + bytes) as f64 <= CLUSTER_RATE_CAP {
+                    placed = s;
+                    break;
+                }
+            }
+            window_bytes[placed] += bytes;
+            per_server[placed].push(*r);
+        }
+    }
+    per_server
+        .into_iter()
+        .map(|records| Trace::new(records, trace.page_bytes(), trace.total_pages()))
+        .collect()
+}
+
+/// Multi-speed (DRPM) disk versus spin-down: the paper's §VI future-work
+/// item "multiple-speed disks" and related work \[12\].
+///
+/// Drives a single-speed disk (always-on / 2-competitive spin-down) and a
+/// multi-speed disk (fixed top speed / utilization-driven DRPM control)
+/// with the *same* miss request streams, at several traffic intensities.
+/// The streams are fixed, so the run takes no [`ExperimentConfig`].
+///
+/// Expected shape (the DRPM paper's core claim): at moderate intensities
+/// the idle intervals are too short for spin-down's 11.7 s break-even, so
+/// 2T ≈ always-on, while DRPM still harvests energy by dropping to a lower
+/// speed; under very light traffic spin-down wins (0.9 W standby beats any
+/// spinning speed); under saturation everything converges to full speed.
+pub fn drpm() -> Table {
+    let power = DiskPowerModel::default();
+    let service = ServiceModel::scaled_pages();
+    let ms_model = MultiSpeedModel::default();
+    let mut table = Table::new(
+        "DRPM vs spin-down (identical Pareto request streams, 2000 requests)",
+        vec![
+            "always_on_J".into(),
+            "2T_J".into(),
+            "ms_full_J".into(),
+            "drpm_J".into(),
+            "drpm_lat_ms".into(),
+            "speed_chg".into(),
+        ],
+    );
+    for mean_gap in [1.0f64, 5.0, 20.0, 60.0, 240.0] {
+        let stream = request_stream(mean_gap, 2000, 99);
+        let end = stream.last().expect("nonempty").0 + 60.0;
+        let single = |timeout: f64| {
+            let mut d = Disk::new(power, service, 131_072);
+            d.set_timeout(timeout);
+            for &(t, page, pages) in &stream {
+                d.submit(t, page, pages, 1 << 20);
+            }
+            d.settle(end);
+            d.energy().total_j()
+        };
+        let multi = |policy: SpeedPolicy| {
+            let mut d = MultiSpeedDisk::new(ms_model.clone(), policy, 131_072);
+            let mut lat = 0.0;
+            for &(t, page, pages) in &stream {
+                lat += d.submit(t, page, pages, 1 << 20).latency;
+            }
+            d.settle(end);
+            (d.energy_j(), lat / stream.len() as f64, d.speed_changes())
+        };
+        let always_on = single(f64::INFINITY);
+        let two_t = single(power.break_even_s());
+        let (ms_full, _, _) = multi(SpeedPolicy::Fixed(ms_model.num_levels() - 1));
+        let (drpm, drpm_lat, changes) = multi(SpeedPolicy::UtilizationDriven {
+            low: 0.2,
+            high: 0.7,
+            window_s: 60.0,
+        });
+        table.push(
+            format!("gap={mean_gap}s"),
+            vec![
+                always_on,
+                two_t,
+                ms_full,
+                drpm,
+                drpm_lat * 1e3,
+                changes as f64,
+            ],
+        );
+        eprintln!("drpm: mean gap {mean_gap}s done");
+    }
+    table
+}
+
+/// One synthetic disk request stream of `(time, page, pages)`: Pareto
+/// think times (α = 1.5) with the given mean.
+fn request_stream(mean_gap_s: f64, requests: usize, seed: u64) -> Vec<(f64, u64, u64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let beta = mean_gap_s / 3.0; // mean = alpha*beta/(alpha-1) = 3*beta
+    let gaps = Pareto::new(1.5, beta)
+        .expect("valid")
+        .sample_n(&mut rng, requests);
+    let mut t = 0.0;
+    gaps.iter()
+        .map(|g| {
+            t += g;
+            (t, rng.gen_range(0..100_000u64), rng.gen_range(1..8u64))
+        })
+        .collect()
+}
+
+/// Time-varying server load: the paper's opening motivation ("the varying
+/// workload of server systems provides opportunities for storage devices
+/// to exploit low-power modes", §I).
+///
+/// The workload alternates hourly between a busy phase (100 MB/s) and a
+/// quiet phase (5 MB/s). Static methods must be provisioned for the busy
+/// phase and waste that provision in the quiet one; the joint manager
+/// re-decides every period, shrinking memory and sleeping the disk when
+/// the load drops and growing back when it returns.
+///
+/// Returns the per-method table, then the joint method's per-period
+/// decisions and power, which show the tracking directly.
+pub fn varying(cfg: &ExperimentConfig) -> (Table, Table) {
+    let phase_secs = (cfg.duration_secs / 4.0).max(1800.0);
+    // busy -> quiet -> busy -> quiet, same 16 GB data set throughout.
+    let phase = |rate_mb: u64, seed: u64| {
+        WorkloadBuilder::new()
+            .data_set_bytes(16 * GIB)
+            .rate_bytes_per_sec(rate_mb * MIB)
+            .popularity(0.1)
+            .page_bytes(cfg.scale.page_bytes)
+            .duration_secs(phase_secs)
+            .seed(seed)
+            .build()
+            .expect("workload generation")
+    };
+    let trace = synth::concat(&[
+        phase(100, cfg.seed),
+        phase(5, cfg.seed + 1),
+        phase(100, cfg.seed + 2),
+        phase(5, cfg.seed + 3),
+    ])
+    .expect("concat");
+    // Measure from the first phase switch to just past the last record.
+    let c = ExperimentConfig {
+        warmup_secs: phase_secs,
+        duration_secs: trace.span() + 60.0,
+        ..*cfg
+    };
+    let mut table = Table::new(
+        "Time-varying load: hourly 100 <-> 5 MB/s phases (16 GB data set)",
+        vec![
+            "total_kJ".into(),
+            "mem_kJ".into(),
+            "disk_kJ".into(),
+            "spins".into(),
+            "long/s".into(),
+        ],
+    );
+    let mut periods = Table::new(
+        "Time-varying load: the joint method's per-period decisions and power",
+        vec![
+            "banks".into(),
+            "GB".into(),
+            "misses".into(),
+            "power_W".into(),
+        ],
+    );
+    for spec in [
+        methods::always_on(&cfg.scale),
+        methods::fixed_memory(&cfg.scale, methods::DiskPolicyKind::TwoCompetitive, 16),
+        methods::disable(&cfg.scale, methods::DiskPolicyKind::TwoCompetitive),
+        methods::joint(&cfg.scale),
+    ] {
+        let r = run(&c, &spec, &trace);
+        table.push(
+            spec.label.clone(),
+            vec![
+                r.energy.total_j() / 1e3,
+                r.energy.mem.total_j() / 1e3,
+                r.energy.disk.total_j() / 1e3,
+                r.spin_downs as f64,
+                r.long_latency_per_sec(),
+            ],
+        );
+        if spec.joint.is_some() {
+            for p in &r.periods {
+                let banks = p
+                    .action
+                    .enabled_banks
+                    .unwrap_or(p.observation.enabled_banks);
+                periods.push(
+                    format!("t = {:>6.0} s", p.observation.end),
+                    vec![
+                        f64::from(banks),
+                        f64::from(banks) * cfg.scale.bank_mib as f64 / 1024.0,
+                        p.observation.disk_page_accesses as f64,
+                        p.observation.mean_power_w(),
+                    ],
+                );
+            }
+        }
+        eprintln!("varying: {} done", spec.label);
+    }
+    (table, periods)
+}
+
+/// Write-back caching and the flush daemon: the deferred-write study of
+/// the paper's related work (Papathanasiou & Scott's *energy efficient
+/// prefetching and caching* \[29\]: lengthen disk idle intervals by
+/// batching I/O).
+///
+/// A 30 %-write workload runs under the 2TFM-16GB and Joint methods while
+/// the dirty-page sync interval sweeps from 5 s to 600 s (and "never").
+///
+/// Expected shape: short sync intervals chop disk idleness into sub-
+/// break-even fragments (few spin-downs, more disk energy); long intervals
+/// batch writes into rare bursts the spin-down policy can sleep between:
+/// the same reason the paper's aggregation window exists.
+pub fn writeback(cfg: &ExperimentConfig) -> Table {
+    let trace = WorkloadBuilder::new()
+        .data_set_bytes(16 * GIB)
+        .rate_bytes_per_sec(20 * MIB)
+        .popularity(0.1)
+        .write_fraction(0.3)
+        .page_bytes(cfg.scale.page_bytes)
+        .duration_secs(cfg.duration_secs)
+        .seed(cfg.seed)
+        .build()
+        .expect("workload generation");
+    let mut table = Table::new(
+        "Write-back flush-interval sweep (16 GB, 20 MB/s, 30% writes)",
+        vec![
+            "disk_kJ".into(),
+            "spins".into(),
+            "disk_pages".into(),
+            "long/s".into(),
+        ],
+    );
+    for spec in [
+        methods::fixed_memory(&cfg.scale, methods::DiskPolicyKind::TwoCompetitive, 16),
+        methods::joint(&cfg.scale),
+    ] {
+        for sync in [5.0f64, 30.0, 120.0, 600.0, f64::INFINITY] {
+            let label = if sync.is_finite() {
+                format!("{}/sync={sync}s", spec.label)
+            } else {
+                format!("{}/sync=never", spec.label)
+            };
+            let mut sim = cfg.sim_config(spec.mem_policy, spec.initial_banks);
+            sim.sync_interval_secs = sync;
+            let controller: Box<dyn PeriodController> = match spec.joint {
+                Some(joint) => Box::new(JointPolicy::new(joint)),
+                None => Box::new(NullController),
+            };
+            let r = replay(
+                Simulation::new(&sim, spec.spindown.clone(), controller, &label),
+                &trace,
+                cfg.duration_secs,
+            );
+            table.push(
+                label.clone(),
+                vec![
+                    r.energy.disk.total_j() / 1e3,
+                    r.spin_downs as f64,
+                    r.disk_page_accesses as f64,
+                    r.long_latency_per_sec(),
+                ],
+            );
+            eprintln!("writeback: {label} done");
+        }
+    }
+    table
+}
+
+/// End-to-end validation of the paper's §IV-C modeling premise: "the
+/// distributions of the disk idle intervals have heavy tails and Pareto
+/// distributions can model such characteristics" (refs. \[19\], \[20\]).
+///
+/// For each arrival model (Poisson vs heavy-tailed Pareto bursts) and each
+/// memory size, this profiles the workload once, reconstructs the disk
+/// idle intervals the joint method would see, and reports the
+/// Kolmogorov–Smirnov distance (lower = better fit) of three fits: the
+/// joint method's *runtime* fit (moment-matched Pareto with β = the
+/// aggregation window, exactly what the policy computes each period), a
+/// Pareto MLE with β = the shortest observed gap (the paper's literal
+/// definition of β), and a shifted exponential (the memoryless null).
+///
+/// Expected shape, and an honest one: under Poisson arrivals the miss
+/// stream is (thinned) Poisson, so gaps are near-exponential and the
+/// memoryless fit wins; the paper's heavy-tail premise comes from
+/// *measured* NT/UNIX server traces (refs. \[20\], \[21\]), not from
+/// Poisson synthetics. As arrivals get burstier the exponential's KS
+/// distance degrades several-fold while the β=min Pareto closes in: the
+/// regime the paper's model is built for. The window sweep in
+/// [`ablation_window`] shows the joint method's *energy* is robust to
+/// this distributional misfit either way.
+pub fn pareto_validation(cfg: &ExperimentConfig) -> Table {
+    let window = 0.1;
+    let mut table = Table::new(
+        "Pareto vs exponential fits of disk idle intervals (KS distance)",
+        vec![
+            "intervals".into(),
+            "mean_s".into(),
+            "min_s".into(),
+            "ks_runtime".into(),
+            "ks_mle_min".into(),
+            "ks_expo".into(),
+        ],
+    );
+    for (arrivals, aname) in [
+        (ArrivalModel::Poisson, "poisson"),
+        (ArrivalModel::ParetoBursts { alpha: 1.4 }, "bursty1.4"),
+        (ArrivalModel::ParetoBursts { alpha: 1.15 }, "bursty1.15"),
+    ] {
+        let trace = WorkloadBuilder::new()
+            .data_set_bytes(16 * GIB)
+            .rate_bytes_per_sec(20 * MIB)
+            .popularity(0.1)
+            .arrivals(arrivals)
+            .page_bytes(cfg.scale.page_bytes)
+            .duration_secs(cfg.duration_secs)
+            .seed(cfg.seed)
+            .build()
+            .expect("workload generation");
+        // Profile once; reconstruct the miss stream at each memory size.
+        let mut profiler = StackProfiler::new();
+        let mut log = AccessLog::new();
+        for r in trace.records() {
+            for page in r.page_range() {
+                log.record(r.time, page, profiler.observe(page));
+            }
+        }
+        for mem_gb in [4u64, 8, 16] {
+            let capacity = cfg.scale.gb_to_pages(mem_gb);
+            let miss_times: Vec<f64> = log.miss_times_at(capacity).collect();
+            let idle = IdleIntervals::from_timestamps(&miss_times, window);
+            let gaps = idle.as_slice();
+            if gaps.len() < 30 {
+                eprintln!("pareto_validation: {aname}/{mem_gb}GB skipped (too few intervals)");
+                continue;
+            }
+            let mean = idle.mean().expect("nonempty");
+            let min_gap = gaps.iter().copied().fold(f64::INFINITY, f64::min);
+            let runtime_fit = fit::pareto_from_mean(mean, window).expect("valid fit");
+            let mle_fit = fit::pareto_mle(gaps, min_gap * 0.999).expect("valid fit");
+            let expo = Exponential::from_mean(mean, min_gap * 0.999).expect("valid fit");
+            let ks_runtime = ks_statistic(gaps, |x| runtime_fit.cdf(x)).expect("nonempty");
+            let ks_mle = ks_statistic(gaps, |x| mle_fit.cdf(x)).expect("nonempty");
+            let ks_e = ks_statistic(gaps, |x| expo.cdf(x)).expect("nonempty");
+            table.push(
+                format!("{aname}/{mem_gb}GB"),
+                vec![gaps.len() as f64, mean, min_gap, ks_runtime, ks_mle, ks_e],
+            );
+            eprintln!("pareto_validation: {aname}/{mem_gb}GB done");
+        }
     }
     table
 }

@@ -1,9 +1,11 @@
 //! Experiment harness for `jpmd`: regenerates every table and figure of
-//! the paper's evaluation (TCAD'06 §V; superset of DATE'05 §4).
+//! the paper's evaluation (TCAD'06 §V; superset of DATE'05 §4) and runs
+//! its §VI extension experiments.
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` calls into this library,
-//! prints the same rows/series the paper reports (normalized against the
-//! always-on method), and drops a machine-readable copy under `results/`.
+//! Each subcommand of the `figures` binary runs one function of
+//! [`experiments`], prints the same rows/series the paper reports
+//! (normalized against the always-on method), and drops a
+//! machine-readable copy under `results/`.
 //!
 //! Absolute joules will not match the authors' testbed — the disk is a
 //! DiskSim-style model and the workload a SPECWeb99 substitute (see

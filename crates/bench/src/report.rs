@@ -1,4 +1,4 @@
-//! Table formatting and JSON persistence for the experiment binaries.
+//! Table formatting and JSON persistence for the `figures` experiments.
 
 use std::fs;
 use std::path::Path;

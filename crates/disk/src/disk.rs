@@ -107,11 +107,6 @@ impl Disk {
         }
     }
 
-    /// The power model in force.
-    pub fn power_model(&self) -> &DiskPowerModel {
-        &self.power
-    }
-
     /// The service-time model in force.
     pub fn service_model(&self) -> &ServiceModel {
         &self.service

@@ -14,7 +14,7 @@
 //! [`MultiSpeedDisk`] mirrors [`Disk`](crate::Disk)'s trace-driven,
 //! exact-integration design; [`SpeedPolicy`] provides a fixed-level
 //! baseline and the utilization-driven controller the DRPM paper
-//! evaluates. The `drpm` experiment binary compares spin-down vs DRPM on
+//! evaluates. The `figures drpm` experiment compares spin-down vs DRPM on
 //! identical request streams.
 
 use serde::{Deserialize, Serialize};

@@ -156,11 +156,6 @@ impl NetFaultCounts {
             + self.read_stalls
             + self.read_disconnects
     }
-
-    /// Disconnect-class faults only (the ones that force a reconnect).
-    pub fn connection_kills(&self) -> u64 {
-        self.disconnects + self.garbage_writes + self.read_disconnects
-    }
 }
 
 /// Lock-free cells behind [`NetFaultCounts`], shared by every connection

@@ -260,13 +260,6 @@ impl DiskCache {
         self.frames[frame as usize].dirty = true;
     }
 
-    /// Whether `page` is resident *and* dirty.
-    pub fn is_dirty(&self, page: u64) -> bool {
-        self.map
-            .get(&page)
-            .is_some_and(|&f| self.frames[f as usize].dirty)
-    }
-
     /// Number of dirty resident pages.
     pub fn dirty_pages(&self) -> usize {
         self.frames.iter().filter(|f| f.occupied && f.dirty).count()

@@ -57,8 +57,8 @@ pub fn seek_period(path: impl AsRef<Path>, period: u64) -> io::Result<SeekOutcom
     scan_for_period(path, start, period)
 }
 
-/// [`seek_period`] with the index deliberately ignored — the baseline
-/// the `store_bench` indexed-seek row compares against.
+/// [`seek_period`] with the index deliberately ignored: the baseline
+/// the index's lines-scanned saving is measured against.
 ///
 /// # Errors
 ///
@@ -445,7 +445,7 @@ mod tests {
     /// Writes an alternating Message/Period stream with `periods`
     /// periods, one message before each.
     fn write_wal(path: &Path, periods: u64) {
-        let mut f = std::fs::File::create(path).unwrap();
+        let mut f = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
         let mut seq = 0;
         for p in 0..periods {
             writeln!(f, "{}", message_record(seq).to_line()).unwrap();
@@ -453,29 +453,35 @@ mod tests {
             writeln!(f, "{}", period_record(seq, p).to_line()).unwrap();
             seq += 1;
         }
+        f.flush().unwrap();
     }
 
     #[test]
     fn seek_finds_the_same_record_with_and_without_index() {
-        let path = tmp("seek");
-        write_wal(&path, 100);
-        let entries = build_index(&path, 8).unwrap();
-        assert!(entries >= 100 / 8, "{entries} entries");
-        let full = seek_period_full_scan(&path, 73).unwrap();
-        let indexed = seek_period(&path, 73).unwrap();
-        assert!(indexed.used_index);
-        assert!(!full.used_index);
-        assert_eq!(indexed.hit, full.hit);
-        let (_, record) = indexed.hit.unwrap();
-        assert_eq!(record.event.period(), Some(73));
-        assert!(
-            indexed.lines_scanned * 4 < full.lines_scanned,
-            "indexed scan ({}) must be far shorter than full ({})",
-            indexed.lines_scanned,
-            full.lines_scanned
-        );
-        std::fs::remove_file(index_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        // A short WAL, and one of 50,000 periods on which the index must
+        // cut the scan more than a hundredfold: at stride 256 it starts at
+        // most 513 lines before the target, a full scan reads 90,002.
+        for (periods, stride, target, min_ratio) in [(100, 8, 73, 4), (50_000, 256, 45_000, 100)] {
+            let path = tmp(&format!("seek-{periods}"));
+            write_wal(&path, periods);
+            let entries = build_index(&path, stride).unwrap();
+            assert!(entries >= periods / u64::from(stride), "{entries} entries");
+            let full = seek_period_full_scan(&path, target).unwrap();
+            let indexed = seek_period(&path, target).unwrap();
+            assert!(indexed.used_index);
+            assert!(!full.used_index);
+            assert_eq!(indexed.hit, full.hit);
+            let (_, record) = indexed.hit.unwrap();
+            assert_eq!(record.event.period(), Some(target));
+            assert!(
+                indexed.lines_scanned * min_ratio < full.lines_scanned,
+                "indexed scan ({}) must be over {min_ratio}x shorter than full ({})",
+                indexed.lines_scanned,
+                full.lines_scanned
+            );
+            std::fs::remove_file(index_path(&path)).ok();
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

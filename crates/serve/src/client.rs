@@ -220,11 +220,6 @@ impl ServeClient {
         self.acked
     }
 
-    /// Un-acked records currently held for replay.
-    pub fn unacked(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Feeds one record exactly-once: assigns it the next seq, parks it
     /// in the replay ring, and writes it (batched per
     /// [`ClientOpts::buffer_bytes`]). Reconnects and replays as needed.

@@ -1,6 +1,6 @@
 //! The event-driven replay engine.
 //!
-//! [`Engine::run_source`] is a thin replay core: it walks the trace, drives the
+//! [`Engine`] is a thin replay core: it walks the trace, drives the
 //! [`HwState`], and emits typed [`SimEvent`]s to a set of pluggable
 //! [`SimObserver`]s. Everything that used to be inline state in the old
 //! monolithic replay loop — period accounting, the warm-up snapshot, the
@@ -16,7 +16,7 @@
 //! record (and once at the end of the run) the engine fires every timer due
 //! at or before the current target time, earliest first. When several
 //! timers are due at the *same* instant they fire in **registration
-//! order** — the order observers were passed to [`Engine::run_source`]. The
+//! order** — the order observers were passed to the engine. The
 //! standard stack registers `[WarmupWindow, PeriodAccounting, FlushDaemon,
 //! …]`, which pins the legacy replay's tie-breaks: at a shared instant the
 //! warm-up snapshot happens first, then the period row, then the sync
@@ -27,7 +27,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use jpmd_trace::{AccessKind, SourceError, TraceRecord, TraceSource};
 use serde::{Deserialize, Serialize};
@@ -194,11 +193,11 @@ pub struct EngineCheckpoint {
     pub observers: Vec<serde::Value>,
 }
 
-/// How many *consecutive* transient [`SourceError`]s [`Engine::run_source`]
-/// absorbs before giving up and propagating the error. A successful pull
-/// resets the budget, so a long trace with scattered transient faults
-/// replays to completion; a source stuck in a transient-failure loop still
-/// terminates.
+/// How many *consecutive* transient [`SourceError`]s
+/// [`Engine::replay_source`] absorbs before giving up and propagating the
+/// error. A successful pull resets the budget, so a long trace with
+/// scattered transient faults replays to completion; a source stuck in a
+/// transient-failure loop still terminates.
 pub const MAX_SOURCE_RETRIES: u32 = 8;
 
 /// The event-driven replay core. See the [module docs](self) for the
@@ -206,8 +205,9 @@ pub const MAX_SOURCE_RETRIES: u32 = 8;
 ///
 /// Two driving styles share one implementation:
 ///
-/// * **Batch**: [`Engine::run_source`] / [`Engine::replay_source`] pull
-///   records from a [`TraceSource`] until the duration is reached.
+/// * **Batch**: [`Engine::replay_source`] pulls records from a
+///   [`TraceSource`] until the duration is reached, then
+///   [`Engine::finish`] closes the run.
 /// * **Incremental**: a long-lived owner (the
 ///   [`PolicyStepper`](crate::PolicyStepper), and through it the
 ///   `jpmd-serve` daemon) feeds records one at a time with
@@ -245,47 +245,19 @@ impl Engine {
         }
     }
 
-    /// Replays `source` against `hw` until `duration`, dispatching to
-    /// `observers`, and returns the engine's counters. Records at or after
-    /// `duration` are ignored; all timers due by `duration` fire and the
-    /// hardware is settled there.
-    ///
-    /// The engine pulls records one at a time, so a streaming source (e.g.
-    /// `jpmd-store`'s paged binary reader) replays at O(page) resident
-    /// memory. For the same record sequence every source produces
-    /// bit-identical stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first non-transient [`SourceError`] the source
-    /// yields (I/O failure or corruption in a streaming source); the
-    /// partial replay's stats are discarded. Transient errors
-    /// ([`SourceError::is_transient`]) are retried up to
-    /// [`MAX_SOURCE_RETRIES`] consecutive times (counted in
-    /// [`EngineStats::source_retries`]) before being propagated.
-    ///
-    /// The engine also refuses to let a misbehaving source corrupt the
-    /// replay clock: records with a non-finite timestamp or zero pages are
-    /// dropped, and records arriving out of order are clamped forward to
-    /// the last replayed instant (both counted in the stats; all three
-    /// counters stay zero for valid traces).
-    pub fn run_source<S: TraceSource>(
-        mut self,
-        source: S,
-        duration: f64,
-        hw: &mut HwState,
-        observers: &mut [&mut dyn SimObserver],
-    ) -> Result<EngineStats, SourceError> {
-        let wall = Instant::now();
-        let completed = self.replay_source(source, duration, hw, observers, None)?;
-        debug_assert!(completed, "no checkpoint policy can interrupt");
-        Ok(self.finish(duration, hw, observers, wall.elapsed().as_secs_f64()))
-    }
-
     /// Pulls records from `source` into the replay ([`Engine::step_record`])
     /// until one reaches `duration` or the source ends; the caller then
     /// closes the run with [`Engine::finish`]. Returns `false` when a
     /// checkpoint interrupted the replay instead.
+    ///
+    /// The engine pulls records one at a time, so a streaming source (e.g.
+    /// `jpmd-store`'s paged binary reader) replays at O(page) resident
+    /// memory. For the same record sequence every source produces
+    /// bit-identical stats. A misbehaving source cannot corrupt the replay
+    /// clock: records with a non-finite timestamp or zero pages are
+    /// dropped, and records arriving out of order are clamped forward to
+    /// the last replayed instant (both counted in the stats; all three
+    /// counters stay zero for valid traces).
     ///
     /// With `checkpoints`, whenever its policy asks for a checkpoint
     /// (cadence reached, or the shutdown flag set) the engine captures an
@@ -295,7 +267,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Propagates source errors exactly like [`Engine::run_source`].
+    /// Propagates the first non-transient [`SourceError`] the source
+    /// yields (I/O failure or corruption in a streaming source).
+    /// Transient errors ([`SourceError::is_transient`]) are retried up to
+    /// [`MAX_SOURCE_RETRIES`] consecutive times (counted in
+    /// [`EngineStats::source_retries`]) before being propagated.
     pub fn replay_source<S: TraceSource>(
         &mut self,
         mut source: S,
@@ -613,6 +589,18 @@ mod tests {
         HwState::new(&config, SpinDownPolicy::AlwaysOn, 64)
     }
 
+    /// Replays `source` until t = 10 s and closes the run, as a batch
+    /// `Simulation::run` does.
+    fn run<S: TraceSource>(
+        source: S,
+        hw: &mut HwState,
+        observers: &mut [&mut dyn SimObserver],
+    ) -> Result<EngineStats, SourceError> {
+        let mut engine = Engine::new();
+        assert!(engine.replay_source(source, 10.0, hw, observers, None)?);
+        Ok(engine.finish(10.0, hw, observers, 0.0))
+    }
+
     /// Replays `records` until t = 10 s.
     fn replay(
         records: Vec<TraceRecord>,
@@ -620,9 +608,7 @@ mod tests {
         observers: &mut [&mut dyn SimObserver],
     ) -> EngineStats {
         let trace = Trace::new(records, 1 << 20, 64);
-        Engine::new()
-            .run_source(trace.source(), 10.0, hw, observers)
-            .expect("in-memory trace sources cannot fail")
+        run(trace.source(), hw, observers).expect("in-memory trace sources cannot fail")
     }
 
     fn record(time: f64, first_page: u64, pages: u64) -> TraceRecord {
@@ -762,9 +748,7 @@ mod tests {
             Err(transient_err()),
             Ok(record(2.0, 1, 1)),
         ]);
-        let stats = Engine::new()
-            .run_source(source, 10.0, &mut hw, &mut [])
-            .expect("transient errors must be absorbed");
+        let stats = run(source, &mut hw, &mut []).expect("transient errors must be absorbed");
         assert_eq!(stats.source_retries, 3);
         assert_eq!(stats.counts.accesses, 2);
     }
@@ -777,9 +761,7 @@ mod tests {
                 .map(|_| Err(transient_err()))
                 .collect(),
         );
-        let err = Engine::new()
-            .run_source(source, 10.0, &mut hw, &mut [])
-            .expect_err("a stuck source must eventually fail");
+        let err = run(source, &mut hw, &mut []).expect_err("a stuck source must eventually fail");
         assert!(err.is_transient());
     }
 
@@ -791,9 +773,7 @@ mod tests {
             Err(SourceError::new(std::io::Error::other("dead"))),
             Ok(record(2.0, 1, 1)),
         ]);
-        assert!(Engine::new()
-            .run_source(source, 10.0, &mut hw, &mut [])
-            .is_err());
+        assert!(run(source, &mut hw, &mut []).is_err());
     }
 
     #[test]
@@ -807,9 +787,7 @@ mod tests {
             Ok(record(f64::INFINITY, 4, 1)), // dropped
             Ok(record(7.0, 5, 1)),
         ]);
-        let stats = Engine::new()
-            .run_source(source, 10.0, &mut hw, &mut [])
-            .expect("sanitized replay succeeds");
+        let stats = run(source, &mut hw, &mut []).expect("sanitized replay succeeds");
         assert_eq!(stats.records_dropped, 3);
         assert_eq!(stats.records_clamped, 1);
         assert_eq!(stats.counts.accesses, 3);

@@ -250,15 +250,6 @@ impl FileSet {
         self.pages[file.0 as usize]
     }
 
-    /// Mean file size in bytes.
-    pub fn mean_file_bytes(&self) -> f64 {
-        if self.pages.is_empty() {
-            0.0
-        } else {
-            self.total_bytes() as f64 / self.pages.len() as f64
-        }
-    }
-
     /// Cumulative pages of the first `n` files (prefix sums by popularity
     /// rank) — used by the popularity calibration.
     pub fn prefix_pages(&self, n: usize) -> u64 {

@@ -87,7 +87,7 @@ impl Error for SourceError {
 /// A streaming supply of [`TraceRecord`]s in non-decreasing time order,
 /// plus the metadata needed to interpret them.
 ///
-/// The replay engine ([`Engine::run_source`](../jpmd_sim/engine/struct.Engine.html))
+/// The replay engine ([`Engine::replay_source`](../jpmd_sim/engine/struct.Engine.html#method.replay_source))
 /// consumes any `TraceSource`; implementations decide where the records
 /// come from (a `Vec`, a paged binary file, a network stream, …).
 pub trait TraceSource {
