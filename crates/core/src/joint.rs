@@ -6,7 +6,7 @@ use jpmd_sim::{ArrayConfig, ControlAction, PeriodController, PeriodObservation, 
 use jpmd_stats::fit;
 
 use crate::error::{PolicyError, PolicyFailure};
-use crate::predict::{candidate_banks, predict_sizes_routed, SizePrediction};
+use crate::predict::{HitOrder, SizePrediction};
 use crate::timeout::{disk_static_power, optimal_timeout, perf_constrained_timeout};
 
 /// Configuration of the joint power manager (paper Table II).
@@ -458,8 +458,11 @@ impl JointPolicy {
             return Ok(Self::member_action(None, &vec![timeout; disks]));
         }
 
-        // Candidate sizes where the disk I/O changes, at bank granularity.
-        let banks = candidate_banks(log, cfg.bank_pages, cfg.min_banks, cfg.total_banks);
+        // The log ordered once: candidate sizes where the disk I/O
+        // changes, at bank granularity, and the order in which the sweep
+        // below turns accesses into hits.
+        let hits = HitOrder::new(log);
+        let banks = hits.candidate_banks(cfg.bank_pages, cfg.min_banks, cfg.total_banks);
         let capacities: Vec<u64> = banks
             .iter()
             .map(|&b| b as u64 * cfg.bank_pages as u64)
@@ -468,19 +471,19 @@ impl JointPolicy {
         // layout exactly as the array places pages.
         let ArrayConfig { layout, .. } = self.array;
         let total_pages = self.total_pages;
-        let predictions: Vec<SizePrediction> = predict_sizes_routed(
-            log,
-            &capacities,
-            cfg.window_secs,
-            |page| layout.disk_of(page, disks, total_pages),
-            disks,
-        )
-        .into_iter()
-        // Include the period-boundary idle gaps: without them, low-miss
-        // candidates look like the disk never sleeps (see
-        // SizePrediction::with_period_bounds).
-        .map(|p| p.with_period_bounds(obs.start, obs.end, cfg.window_secs))
-        .collect();
+        let predictions: Vec<SizePrediction> = hits
+            .predict_sizes_routed(
+                &capacities,
+                cfg.window_secs,
+                |page| layout.disk_of(page, disks, total_pages),
+                disks,
+            )
+            .into_iter()
+            // Include the period-boundary idle gaps: without them, low-miss
+            // candidates look like the disk never sleeps (see
+            // SizePrediction::with_period_bounds).
+            .map(|p| p.with_period_bounds(obs.start, obs.end, cfg.window_secs))
+            .collect();
 
         // Observed average run length feeds the utilization estimate.
         let avg_run_pages = if obs.disk_requests > 0 {

@@ -6,6 +6,13 @@
 //! of disk accesses `n_d`, the number of idle intervals `n_i`, and their
 //! mean length, all without re-running the workload.
 //!
+//! Both steps read the log in one order, which the joint decision builds
+//! once per period with one stable radix sort: the re-accesses by stack
+//! position, ties by arrival. Its distinct positions are the sizes where
+//! the disk I/O changes ([`candidate_banks`]), and its sequence is the
+//! order in which accesses turn into hits as the memory grows
+//! ([`predict_sizes_routed`]).
+//!
 //! The trick is to process candidate sizes in ascending order while
 //! maintaining the predicted *miss sequence* as a doubly-linked list over
 //! the log: growing the memory from one candidate to the next turns the
@@ -109,119 +116,200 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
     route: F,
     n_routes: usize,
 ) -> Vec<SizePrediction> {
-    assert!(
-        candidates.windows(2).all(|w| w[0] <= w[1]),
-        "candidates must be sorted ascending"
-    );
-    assert!(n_routes > 0, "need at least one route");
-    let entries = log.entries();
-    let n = entries.len();
+    HitOrder::new(log).predict_sizes_routed(candidates, window, route, n_routes)
+}
 
-    // Each access's route; one route needs no table.
-    let routes: Vec<u32> = if n_routes == 1 {
-        Vec::new()
-    } else {
-        entries
-            .iter()
-            .map(|e| {
-                let r = route(e.page);
-                assert!(r < n_routes, "route index out of range");
-                r as u32
+/// Bits of the stack position each radix pass of `HitOrder::new` sorts.
+const RADIX_BITS: u32 = 11;
+
+/// One period's re-accesses in the order they turn into hits as the memory
+/// grows: by stack position, ties by arrival. Cold accesses, which miss at
+/// every size, are left out.
+///
+/// Built once per decision, it serves both candidate enumeration and the
+/// gap-merging sweep. `HitOrder::new` is a stable LSD radix sort on the
+/// position, 11 bits a pass, over the log in arrival order: linear in the
+/// log, with one pass per 11 bits of the largest position — at most three
+/// for any position a [`StackProfiler`](jpmd_mem::StackProfiler) returns
+/// (below 2³¹). Stability makes it the `(position, index)` order, so the
+/// sweep subtracts idle gaps in a fixed order and its `f64` sums are
+/// reproducible to the bit.
+#[derive(Debug)]
+pub(crate) struct HitOrder<'a> {
+    log: &'a AccessLog,
+    /// `(position, index into the log)`, ascending.
+    hits: Vec<(u64, u32)>,
+}
+
+impl<'a> HitOrder<'a> {
+    /// Orders `log`'s re-accesses.
+    pub(crate) fn new(log: &'a AccessLog) -> Self {
+        let mut hits: Vec<(u64, u32)> = (0u32..)
+            .zip(log.entries())
+            .filter_map(|(i, e)| match e.distance {
+                StackDistance::Position(p) => Some((p, i)),
+                StackDistance::Cold => None,
             })
-            .collect()
-    };
-    let route_of = |i: u32| routes.get(i as usize).map_or(0, |&r| r as usize);
-
-    // One doubly-linked chain per route over the full access sequence
-    // (capacity 0: every access is a miss), with its gap statistics.
-    let mut prev: Vec<u32> = vec![NONE_IDX; n];
-    let mut next: Vec<u32> = vec![NONE_IDX; n];
-    let mut head: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut tail: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut nd = vec![0u64; n_routes];
-    let mut ni = vec![0u64; n_routes];
-    let mut total = vec![0.0f64; n_routes];
-    for (i, e) in (0u32..).zip(entries) {
-        let r = route_of(i);
-        let l = tail[r];
-        prev[i as usize] = l;
-        if l == NONE_IDX {
-            head[r] = i;
-        } else {
-            next[l as usize] = i;
-            let g = e.time - entries[l as usize].time;
-            if g > window {
-                ni[r] += 1;
-                total[r] += g;
+            .collect();
+        let top = hits.iter().map(|&(p, _)| p).max().unwrap_or(0);
+        let mut sorted = vec![(0, 0); hits.len()];
+        let mut counts = [0usize; 1 << RADIX_BITS];
+        let mut shift = 0;
+        while shift < u64::BITS && top >> shift != 0 {
+            let digit = |p: u64| (p >> shift) as usize & ((1 << RADIX_BITS) - 1);
+            counts.fill(0);
+            for &(p, _) in &hits {
+                counts[digit(p)] += 1;
             }
+            let mut next = 0;
+            for count in &mut counts {
+                next += std::mem::replace(count, next);
+            }
+            for &hit in &hits {
+                let slot = &mut counts[digit(hit.0)];
+                sorted[*slot] = hit;
+                *slot += 1;
+            }
+            std::mem::swap(&mut hits, &mut sorted);
+            shift += RADIX_BITS;
         }
-        tail[r] = i;
-        nd[r] += 1;
+        Self { log, hits }
     }
 
-    // Accesses ordered by the capacity at which they become hits.
-    let mut order: Vec<(u64, u32)> = entries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.distance {
-            StackDistance::Position(p) => Some((p, i as u32)),
-            StackDistance::Cold => None,
-        })
-        .collect();
-    order.sort_unstable();
+    /// [`candidate_banks`] of the ordered log.
+    pub(crate) fn candidate_banks(
+        &self,
+        bank_pages: u32,
+        min_banks: u32,
+        max_banks: u32,
+    ) -> Vec<u32> {
+        // Rounding and clamping keep the ascending order of the positions.
+        let to_banks = |pages: u64| {
+            let b = pages.div_ceil(bank_pages as u64).min(max_banks as u64) as u32;
+            b.clamp(min_banks, max_banks)
+        };
+        let mut banks = vec![min_banks];
+        for b in std::iter::once(0)
+            .chain(self.hits.iter().map(|&(p, _)| p))
+            .map(to_banks)
+            .chain([max_banks])
+        {
+            if banks.last() != Some(&b) {
+                banks.push(b);
+            }
+        }
+        banks
+    }
 
-    let mut out = Vec::with_capacity(candidates.len() * n_routes);
-    let mut cursor = 0usize;
-    for &cap in candidates {
-        // Each new hit leaves its route's miss chain, merging the two
-        // gaps around it into one.
-        while cursor < order.len() && order[cursor].0 <= cap {
-            let i = order[cursor].1;
+    /// [`predict_sizes_routed`] of the ordered log.
+    pub(crate) fn predict_sizes_routed<F: Fn(u64) -> usize>(
+        &self,
+        candidates: &[u64],
+        window: f64,
+        route: F,
+        n_routes: usize,
+    ) -> Vec<SizePrediction> {
+        assert!(
+            candidates.windows(2).all(|w| w[0] <= w[1]),
+            "candidates must be sorted ascending"
+        );
+        assert!(n_routes > 0, "need at least one route");
+        let entries = self.log.entries();
+        let n = entries.len();
+
+        // Each access's route; one route needs no table.
+        let routes: Vec<u32> = if n_routes == 1 {
+            Vec::new()
+        } else {
+            entries
+                .iter()
+                .map(|e| {
+                    let r = route(e.page);
+                    assert!(r < n_routes, "route index out of range");
+                    r as u32
+                })
+                .collect()
+        };
+        let route_of = |i: u32| routes.get(i as usize).map_or(0, |&r| r as usize);
+
+        // One doubly-linked chain per route over the full access sequence
+        // (capacity 0: every access is a miss), with its gap statistics.
+        let mut prev: Vec<u32> = vec![NONE_IDX; n];
+        let mut next: Vec<u32> = vec![NONE_IDX; n];
+        let mut head: Vec<u32> = vec![NONE_IDX; n_routes];
+        let mut tail: Vec<u32> = vec![NONE_IDX; n_routes];
+        let mut nd = vec![0u64; n_routes];
+        let mut ni = vec![0u64; n_routes];
+        let mut total = vec![0.0f64; n_routes];
+        for (i, e) in (0u32..).zip(entries) {
             let r = route_of(i);
-            let (l, rr) = (prev[i as usize], next[i as usize]);
-            if head[r] == i {
-                head[r] = rr;
-            }
-            if tail[r] == i {
-                tail[r] = l;
-            }
-            let t_i = entries[i as usize].time;
-            if l != NONE_IDX {
-                let g = t_i - entries[l as usize].time;
-                if g > window {
-                    ni[r] -= 1;
-                    total[r] -= g;
-                }
-                next[l as usize] = rr;
-            }
-            if rr != NONE_IDX {
-                let g = entries[rr as usize].time - t_i;
-                if g > window {
-                    ni[r] -= 1;
-                    total[r] -= g;
-                }
-                prev[rr as usize] = l;
-            }
-            if l != NONE_IDX && rr != NONE_IDX {
-                let g = entries[rr as usize].time - entries[l as usize].time;
+            let l = tail[r];
+            prev[i as usize] = l;
+            if l == NONE_IDX {
+                head[r] = i;
+            } else {
+                next[l as usize] = i;
+                let g = e.time - entries[l as usize].time;
                 if g > window {
                     ni[r] += 1;
                     total[r] += g;
                 }
             }
-            nd[r] -= 1;
-            cursor += 1;
+            tail[r] = i;
+            nd[r] += 1;
         }
-        out.extend((0..n_routes).map(|r| SizePrediction {
-            capacity_pages: cap,
-            disk_accesses: nd[r],
-            idle_count: ni[r],
-            idle_total_secs: total[r].max(0.0),
-            first_miss_secs: (head[r] != NONE_IDX).then(|| entries[head[r] as usize].time),
-            last_miss_secs: (tail[r] != NONE_IDX).then(|| entries[tail[r] as usize].time),
-        }));
+
+        let mut out = Vec::with_capacity(candidates.len() * n_routes);
+        let mut hits = self.hits.iter().peekable();
+        for &cap in candidates {
+            // Each new hit leaves its route's miss chain, merging the two
+            // gaps around it into one.
+            while let Some(&(_, i)) = hits.next_if(|&&(p, _)| p <= cap) {
+                let r = route_of(i);
+                let (l, rr) = (prev[i as usize], next[i as usize]);
+                if head[r] == i {
+                    head[r] = rr;
+                }
+                if tail[r] == i {
+                    tail[r] = l;
+                }
+                let t_i = entries[i as usize].time;
+                if l != NONE_IDX {
+                    let g = t_i - entries[l as usize].time;
+                    if g > window {
+                        ni[r] -= 1;
+                        total[r] -= g;
+                    }
+                    next[l as usize] = rr;
+                }
+                if rr != NONE_IDX {
+                    let g = entries[rr as usize].time - t_i;
+                    if g > window {
+                        ni[r] -= 1;
+                        total[r] -= g;
+                    }
+                    prev[rr as usize] = l;
+                }
+                if l != NONE_IDX && rr != NONE_IDX {
+                    let g = entries[rr as usize].time - entries[l as usize].time;
+                    if g > window {
+                        ni[r] += 1;
+                        total[r] += g;
+                    }
+                }
+                nd[r] -= 1;
+            }
+            out.extend((0..n_routes).map(|r| SizePrediction {
+                capacity_pages: cap,
+                disk_accesses: nd[r],
+                idle_count: ni[r],
+                idle_total_secs: total[r].max(0.0),
+                first_miss_secs: (head[r] != NONE_IDX).then(|| entries[head[r] as usize].time),
+                last_miss_secs: (tail[r] != NONE_IDX).then(|| entries[tail[r] as usize].time),
+            }));
+        }
+        out
     }
-    out
 }
 
 /// The Che approximation of the LRU miss rate under the *independent
@@ -283,27 +371,23 @@ pub fn irm_miss_rate(probabilities: &[f64], capacity_pages: u64) -> (f64, f64) {
 }
 
 /// Candidate capacities worth enumerating for a given bank granularity:
-/// the log's miss-count change points rounded **up** to whole banks
-/// (between change points a smaller memory has the same disk I/O and less
-/// static power, §IV-B), clamped to `min_banks..=max_banks`, deduplicated,
+/// the capacities where the predicted miss count changes — 0 and each
+/// distinct stack position ("the size causing different disk IOs", §IV-B)
+/// — rounded **up** to whole banks (between change points a smaller
+/// memory has the same disk I/O and less static power), clamped to
+/// `min_banks..=max_banks`, with both bounds added, deduplicated,
 /// ascending. Expressed in banks.
+///
+/// # Panics
+///
+/// Panics if `bank_pages == 0` or `min_banks > max_banks`.
 pub fn candidate_banks(
     log: &AccessLog,
     bank_pages: u32,
     min_banks: u32,
     max_banks: u32,
 ) -> Vec<u32> {
-    let mut banks: Vec<u32> = log
-        .change_points()
-        .into_iter()
-        .map(|pages| pages.div_ceil(bank_pages as u64).min(max_banks as u64) as u32)
-        .map(|b| b.clamp(min_banks, max_banks))
-        .collect();
-    banks.push(min_banks);
-    banks.push(max_banks);
-    banks.sort_unstable();
-    banks.dedup();
-    banks
+    HitOrder::new(log).candidate_banks(bank_pages, min_banks, max_banks)
 }
 
 #[cfg(test)]
@@ -425,6 +509,26 @@ mod tests {
         // Clamped by max.
         let banks = candidate_banks(&log, 2, 1, 2);
         assert_eq!(banks, vec![1, 2]);
+    }
+
+    #[test]
+    fn one_page_banks_are_zero_and_every_change_point() {
+        let mut profiler = StackProfiler::new();
+        let mut log = AccessLog::new();
+        for (i, page) in [1u64, 2, 1, 3, 2, 1].into_iter().enumerate() {
+            log.record(i as f64, page, profiler.observe(page));
+        }
+        let banks = candidate_banks(&log, 1, 0, 100);
+        assert_eq!(banks, vec![0, 2, 3, 100]);
+        assert!(banks.windows(2).all(|w| w[0] < w[1]));
+        // The miss count changes at every change point; the ceiling
+        // added past the last one changes nothing.
+        let (points, ceiling) = banks.split_at(banks.len() - 1);
+        for w in points.windows(2) {
+            assert!(log.misses_at(w[0] as u64) > log.misses_at(w[1] as u64));
+        }
+        let last = *points.last().unwrap() as u64;
+        assert_eq!(log.misses_at(last), log.misses_at(ceiling[0] as u64));
     }
 
     #[test]

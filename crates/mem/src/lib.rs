@@ -13,8 +13,11 @@
 //!   bank are invalidated").
 //! * [`StackProfiler`] / [`AccessLog`] — the paper's *extended LRU list*
 //!   (Fig. 3): exact stack distances that predict the number of disk
-//!   accesses at every candidate memory size at once, in O(log n) per
-//!   access and O(distinct pages) memory.
+//!   accesses at every candidate memory size at once. An access costs one
+//!   hash lookup, one popcount and three walks of a Fenwick tree over
+//!   64-slot words, O(log(n / 64)). Memory is O(distinct pages): the
+//!   page → id map, and per slot 4 bytes of slot → id table and 1.5 bits
+//!   of marks, with one to two slots per distinct page.
 //! * [`MemoryManager`] — the assembled subsystem the system simulator
 //!   drives. It profiles only for a policy that reads the access log
 //!   ([`MemoryManager::set_profiling`]), and keeps at most one pending

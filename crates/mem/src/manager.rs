@@ -486,6 +486,13 @@ impl MemoryManager {
         &self.log
     }
 
+    /// Empties the current period's access log, keeping its buffer for
+    /// the next period. The profiler keeps its history, as with
+    /// [`MemoryManager::take_log`].
+    pub fn clear_log(&mut self) {
+        self.log.clear();
+    }
+
     /// Captures the full dynamic state (cache contents, bank clocks,
     /// profiler history, expiry timers, counters) for checkpointing. The
     /// configuration is *not* captured; restore into a manager built with
@@ -641,6 +648,23 @@ mod tests {
         // Second access to the same page is *not* cold: the profiler kept
         // its history across the period boundary.
         m.access(1, 1.0);
+        assert_eq!(
+            m.log().entries()[0].distance,
+            crate::StackDistance::Position(1)
+        );
+    }
+
+    #[test]
+    fn clear_log_keeps_the_buffer_and_the_profiler() {
+        let mut m = MemoryManager::new(config(IdlePolicy::Nap));
+        for page in 0..8 {
+            m.access(page, page as f64);
+        }
+        let buffer = m.log().entries().as_ptr();
+        m.clear_log();
+        assert!(m.log().is_empty());
+        m.access(7, 9.0);
+        assert_eq!(m.log().entries().as_ptr(), buffer, "the buffer is reused");
         assert_eq!(
             m.log().entries()[0].distance,
             crate::StackDistance::Position(1)

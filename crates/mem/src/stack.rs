@@ -2,7 +2,7 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use crate::fenwick::Fenwick;
+use crate::fenwick::SlotMarks;
 
 /// LRU stack distance of one disk-cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,16 +37,20 @@ impl StackDistance {
 /// memory size simultaneously*, without re-running the workload — exactly
 /// what the joint power manager needs.
 ///
-/// The implementation is the Bennett–Kruskal algorithm: a Fenwick tree over
+/// The implementation is the Bennett–Kruskal algorithm: a bitset over
 /// access slots marks, for each distinct page, its most recent access; the
 /// stack position of a re-access is one plus the number of marks after the
-/// page's previous slot. An access costs one hash lookup, one O(log n)
-/// tree query and two O(log n) tree updates. When the slots run out, one
-/// linear pass re-packs the marks to the front.
+/// page's previous slot. A Fenwick tree over the count of each 64-slot word
+/// counts them: one tree query over the earlier words plus one popcount.
+/// An access costs one hash lookup, that count, and two bit flips, each
+/// walking one tree path of log₂(slots / 64) levels. When the slots run
+/// out, one linear pass re-packs the marks to the front.
 ///
 /// Memory is O(distinct pages): each page gets a dense id on first sight,
 /// and every table is indexed by id or slot, never by page number, so
-/// page 2⁶³ costs what page 0 does.
+/// page 2⁶³ costs what page 0 does. Each slot costs 1.5 bits of marks (its
+/// bit, plus a 4-byte count per 64 slots) and 4 bytes of slot → id table,
+/// and there are one to two slots per distinct page.
 ///
 /// # Example
 ///
@@ -74,7 +78,7 @@ pub struct StackProfiler {
     /// The id accessed in each slot; its length is the next free slot.
     id_at: Vec<u32>,
     /// Marks the slots that are currently "most recent" for some page.
-    marks: Fenwick,
+    marks: SlotMarks,
 }
 
 /// Slots a fresh or lightly used profiler starts with.
@@ -97,7 +101,7 @@ impl StackProfiler {
             ids: HashMap::new(),
             slot_of: Vec::new(),
             id_at: Vec::new(),
-            marks: Fenwick::new(MIN_SLOTS),
+            marks: SlotMarks::new(MIN_SLOTS),
         }
     }
 
@@ -125,7 +129,7 @@ impl StackProfiler {
             ids,
             slot_of: ordered,
             id_at,
-            marks: Fenwick::with_ones(slots, n),
+            marks: SlotMarks::with_ones(slots, n),
         })
     }
 
@@ -157,13 +161,13 @@ impl StackProfiler {
                 let prev = std::mem::replace(&mut self.slot_of[id as usize], slot as u32) as usize;
                 // Every mark lies before `slot`, so the pages touched since
                 // `prev` are the marks after it.
-                let after = distinct as u64 - self.marks.prefix_sum(prev);
-                self.marks.add(prev, -1);
+                let after = distinct as u64 - self.marks.count_through(prev);
+                self.marks.clear(prev);
                 (id, StackDistance::Position(after + 1))
             }
         };
         self.id_at.push(id);
-        self.marks.add(slot, 1);
+        self.marks.set(slot);
         distance
     }
 
@@ -175,9 +179,9 @@ impl StackProfiler {
     }
 
     /// Slots to provide for `distinct` pages: room for as many accesses
-    /// again before the next compaction.
+    /// again before the next compaction, in whole words of the marks.
     fn slots_for(distinct: usize) -> usize {
-        (2 * distinct).max(MIN_SLOTS)
+        (2 * distinct).max(MIN_SLOTS).next_multiple_of(64)
     }
 
     /// Re-packs the marked slots to `0..distinct`, keeping recency order,
@@ -199,7 +203,7 @@ impl StackProfiler {
         self.id_at.truncate(kept);
         let slots = Self::slots_for(kept);
         self.id_at.reserve_exact(slots - kept);
-        self.marks = Fenwick::with_ones(slots, kept);
+        self.marks = SlotMarks::with_ones(slots, kept);
     }
 
     /// The distinct pages in stack order, least recent first.
@@ -323,25 +327,6 @@ impl AccessLog {
             }
         }
         counters
-    }
-
-    /// Distinct capacities (in pages) at which the predicted miss count
-    /// changes — the candidate sizes worth enumerating ("the size causing
-    /// different disk IOs", §IV-B). Always includes 0.
-    pub fn change_points(&self) -> Vec<u64> {
-        let mut positions: Vec<u64> = self
-            .entries
-            .iter()
-            .filter_map(|e| match e.distance {
-                StackDistance::Position(p) => Some(p),
-                StackDistance::Cold => None,
-            })
-            .collect();
-        positions.sort_unstable();
-        positions.dedup();
-        let mut out = vec![0];
-        out.extend(positions);
-        out
     }
 
     /// Clears the log for the next period.
@@ -470,23 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn change_points_include_zero_and_are_sorted() {
-        let seq = [1u64, 2, 1, 3, 2, 1];
-        let mut profiler = StackProfiler::new();
-        let mut log = AccessLog::new();
-        for (i, &p) in seq.iter().enumerate() {
-            log.record(i as f64, p, profiler.observe(p));
-        }
-        let cps = log.change_points();
-        assert_eq!(cps[0], 0);
-        assert!(cps.windows(2).all(|w| w[0] < w[1]));
-        // Miss counts must differ across consecutive change points.
-        for w in cps.windows(2) {
-            assert!(log.misses_at(w[0]) > log.misses_at(w[1]));
-        }
-    }
-
-    #[test]
     fn miss_times_filter_correctly() {
         let mut profiler = StackProfiler::new();
         let mut log = AccessLog::new();
@@ -526,6 +494,41 @@ mod tests {
             // Cold misses remain at infinite capacity.
             let distinct: std::collections::HashSet<_> = seq.iter().collect();
             prop_assert_eq!(log.misses_at(u64::MAX), distinct.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        // At least 200 distinct sparse pages over at least three
+        // compactions; a snapshot taken at `cut` and restored must go on
+        // exactly as the profiler it was taken from.
+        #[test]
+        fn profiler_matches_naive_across_compactions_and_a_restore(
+            distinct in 200u64..400,
+            picks in proptest::collection::vec(any::<u64>(), 4000..4001),
+            cut in 0usize..4200,
+        ) {
+            let seq: Vec<u64> = (0..distinct)
+                .chain(picks.iter().map(|p| p % distinct))
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            let naive = naive_distances(&seq);
+            let mut profiler = StackProfiler::new();
+            let mut restored = None;
+            let mut compactions = 0;
+            for (i, (&page, &expect)) in seq.iter().zip(&naive).enumerate() {
+                if i == cut {
+                    restored = Some(StackProfiler::from_value(&profiler.to_value()).unwrap());
+                }
+                let before = profiler.id_at.len();
+                prop_assert_eq!(profiler.observe(page), expect);
+                compactions += usize::from(profiler.id_at.len() <= before);
+                if let Some(restored) = &mut restored {
+                    prop_assert_eq!(restored.observe(page), expect);
+                }
+            }
+            prop_assert!(compactions >= 3, "{} compactions", compactions);
+            prop_assert_eq!(profiler.distinct_pages(), distinct as usize);
         }
     }
 

@@ -196,8 +196,10 @@ impl<C: PeriodController> SimObserver for PeriodAccounting<C> {
             disk_timeout: hw.disk_timeout(),
             energy_total_j: hw.snapshot_energy().since(&self.p_energy).total_j(),
         };
-        let log = hw.mem.take_log();
-        let action = self.controller.on_period_end(&observation, &log);
+        // One log buffer serves every period: the controller reads it in
+        // place, and it is emptied before the action applies.
+        let action = self.controller.on_period_end(&observation, hw.mem.log());
+        hw.mem.clear_log();
         hw.apply_action(&action, t);
         out.push(SimEvent::PeriodBoundary {
             index: self.rows.len(),

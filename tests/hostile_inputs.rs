@@ -111,7 +111,7 @@ const BUDGET: Duration = Duration::from_secs(3);
 
 /// Builds the input at 1× and 4× `size`, then times the loader on each,
 /// alternating sizes so a busy machine slows both alike, and keeps the
-/// fastest of three runs. Both must finish within [`BUDGET`] of wall time;
+/// fastest of five runs. Both must finish within [`BUDGET`] of wall time;
 /// when the loader reads its whole input and the 1× run takes at least
 /// 20 ms of [`thread_cpu_time`], the 4× run may take at most 5× as much.
 fn check_scaling<I>(
@@ -123,7 +123,7 @@ fn check_scaling<I>(
 ) {
     let inputs = [build(size), build(4 * size)];
     let mut fastest = [(Duration::MAX, Duration::MAX); 2];
-    for _ in 0..3 {
+    for _ in 0..5 {
         for (input, (wall, cpu)) in inputs.iter().zip(&mut fastest) {
             let (start, start_cpu) = (Instant::now(), thread_cpu_time());
             load(input);
